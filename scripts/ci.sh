@@ -3,7 +3,8 @@
 #
 # Tier 0 (lint): the clang-tidy wall (scripts/lint.sh) — skips cleanly when
 # clang-tidy is not installed. Tier 1: the plain build and full test suite
-# (the gate every change must hold), plus end-to-end workload smokes
+# (the gate every change must hold, built with -Werror so a new -Wextra
+# warning fails CI), plus end-to-end workload smokes
 # including the --phase1 predict engine (sound cycles certified, guarded
 # ones skipped). Tier 2: the same suite under ASan+UBSan
 # (DLF_SANITIZE=address), which is how the sandbox/journal/pool code gets
@@ -47,8 +48,8 @@ JOBS="${1:-$(nproc)}"
 echo "== tier 0: clang-tidy lint wall =="
 scripts/lint.sh "$JOBS"
 
-echo "== tier 1: normal build + full test suite =="
-cmake -B build -S . >/dev/null
+echo "== tier 1: normal build (warnings are errors) + full test suite =="
+cmake -B build -S . -DCMAKE_CXX_FLAGS=-Werror >/dev/null
 cmake --build build -j "$JOBS"
 ctest --test-dir build --output-on-failure -j "$JOBS"
 # Widened-alphabet workloads end to end (rwlock modes, cond-wait
@@ -77,11 +78,14 @@ ctest --test-dir build-asan --output-on-failure -j "$JOBS" --timeout 90
 echo "== tier 2b: TSan build + runtime/scheduler suites =="
 cmake -B build-tsan -S . -DDLF_SANITIZE=thread >/dev/null
 cmake --build build-tsan -j "$JOBS" --target \
-  runtime_test scheduler_test parallel_closure_test ring_test predict_test \
-  status_server_test dlf-run
+  runtime_test scheduler_test parallel_closure_test incremental_closure_test \
+  ring_test predict_test status_server_test dlf-run
 build-tsan/tests/runtime_test
 build-tsan/tests/scheduler_test
 build-tsan/tests/parallel_closure_test
+# Incremental closure steps shard old-chain and new-chain scans over the
+# same read-only index.
+build-tsan/tests/incremental_closure_test
 # The sharded verdict workers under TSan: the shared trace index is
 # read-only and the per-worker closure state must never alias.
 build-tsan/tests/predict_test

@@ -16,9 +16,9 @@ namespace {
 /// Builds an Abstraction whose single element is the interned label of the
 /// preload abstraction string ("site#n"): equality of strings is equality
 /// of abstractions, which is all the closure needs.
-AbstractionSet absFromString(const std::string &Text) {
+AbstractionSet absFromLabel(Label Name) {
   AbstractionSet Abs;
-  uint32_t Raw = Label::intern(Text).raw();
+  uint32_t Raw = Name.raw();
   Abs.Index.Elements = {Raw, 1};
   Abs.KObject.Elements = {Raw};
   return Abs;
@@ -38,7 +38,7 @@ void IncrementalLogBuilder::feedOne(const TraceEvent &E) {
     BuilderThread &T = Threads[E.A];
     T.Record.Id = ThreadId(E.A);
     T.Record.Name = E.Text;
-    T.Record.Abs = absFromString(E.Text);
+    T.Record.Abs = absFromLabel(E.label());
     vcTick(T.Record.Clock, T.Record.Id);
     Log.onThreadCreated(T.Record);
     break;
@@ -47,7 +47,7 @@ void IncrementalLogBuilder::feedOne(const TraceEvent &E) {
     LockRecord &L = Locks[E.A];
     L.Id = LockId(E.A);
     L.Name = E.Text;
-    L.Abs = absFromString(E.Text);
+    L.Abs = absFromLabel(E.label());
     Log.onLockCreated(L);
     break;
   }
@@ -79,9 +79,9 @@ void IncrementalLogBuilder::feedOne(const TraceEvent &E) {
                         ? LockMode::Shared
                         : LockMode::Exclusive;
     BuilderThread &T = ThreadIt->second;
-    Log.onAcquireExecuted(T.Record, LockIt->second, T.Stack,
-                          Label::intern(E.Text), Mode);
-    T.Stack.push_back({LockId(E.B), Label::intern(E.Text), Mode});
+    const Label Site = E.label();
+    Log.onAcquireExecuted(T.Record, LockIt->second, T.Stack, Site, Mode);
+    T.Stack.push_back({LockId(E.B), Site, Mode});
     break;
   }
   case TraceEvent::Kind::Release:

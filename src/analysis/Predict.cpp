@@ -269,7 +269,7 @@ TraceIndex::TraceIndex(const TraceFile &Trace) {
       if (OpenExcl[L] != 0 || (!Shared && OpenShared[L] != 0))
         Locks[L].Irregular = true;
 
-      Label Site = Label::intern(E.Text);
+      Label Site = E.label();
       Occurrence O;
       O.Thread = T;
       O.LockDense = L;

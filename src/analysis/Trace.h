@@ -27,6 +27,8 @@
 #ifndef DLF_ANALYSIS_TRACE_H
 #define DLF_ANALYSIS_TRACE_H
 
+#include "event/Label.h"
+
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -53,6 +55,12 @@ namespace analysis {
 ///                  joiner's next step)
 ///   ObjectNew:     A = oid, Text = abstraction
 ///   Read/Write:    A = tid, B = oid, Text = access site
+///
+/// Interned is the label of Text (abstraction or acquire site) for the
+/// ThreadNew, LockNew, Acquire and SharedAcquire events when the producer
+/// already interned it — the ring assembler does, and then leaves acquire
+/// events' Text empty. It is invalid for events parsed from a text trace;
+/// consumers intern Text then.
 struct TraceEvent {
   enum class Kind {
     ThreadNew,
@@ -74,6 +82,12 @@ struct TraceEvent {
   uint64_t A = 0;
   uint64_t B = 0;
   std::string Text;
+  Label Interned;
+
+  /// The label of Text: Interned when set, else Text interned now.
+  Label label() const {
+    return Interned.isValid() ? Interned : Label::intern(Text);
+  }
 };
 
 /// Outcome of reading a trace file (see file comment).

@@ -789,8 +789,11 @@ void CampaignRunner::runPhaseTwo(
   // Journaled outcomes enter the commit queue up front; fresh results join
   // them as children finish (possibly out of order).
   std::map<std::pair<unsigned, unsigned>, PendingOutcome> Pending;
-  for (auto &KV : Replay)
-    Pending[KV.first] = {KV.second, /*Replayed=*/true};
+  for (auto &KV : Replay) {
+    PendingOutcome &P = Pending[KV.first];
+    P.O = KV.second;
+    P.Replayed = true;
+  }
 
   std::map<uint64_t, FlightInfo> Flight;
   std::vector<RetryItem> Retries;

@@ -2,6 +2,8 @@
 
 #include "campaign/Json.h"
 
+#include "support/JsonEscape.h"
+
 #include <cctype>
 #include <cmath>
 #include <cstdio>
@@ -19,38 +21,6 @@ const JsonValue &JsonValue::operator[](const std::string &Key) const {
 }
 
 namespace {
-
-void dumpString(std::ostringstream &OS, const std::string &S) {
-  OS << '"';
-  for (char C : S) {
-    switch (C) {
-    case '"':
-      OS << "\\\"";
-      break;
-    case '\\':
-      OS << "\\\\";
-      break;
-    case '\n':
-      OS << "\\n";
-      break;
-    case '\r':
-      OS << "\\r";
-      break;
-    case '\t':
-      OS << "\\t";
-      break;
-    default:
-      if (static_cast<unsigned char>(C) < 0x20) {
-        char Buf[8];
-        std::snprintf(Buf, sizeof(Buf), "\\u%04x", C);
-        OS << Buf;
-      } else {
-        OS << C;
-      }
-    }
-  }
-  OS << '"';
-}
 
 void dumpValue(std::ostringstream &OS, const JsonValue &V);
 
@@ -86,7 +56,7 @@ void dumpValue(std::ostringstream &OS, const JsonValue &V) {
     dumpNumber(OS, V.asNumber());
     break;
   case JsonValue::Kind::String:
-    dumpString(OS, V.asString());
+    OS << '"' << jsonEscape(V.asString()) << '"';
     break;
   case JsonValue::Kind::Array: {
     OS << '[';
@@ -109,7 +79,7 @@ void dumpValue(std::ostringstream &OS, const JsonValue &V) {
       if (!First)
         OS << ',';
       First = false;
-      dumpString(OS, Key);
+      OS << '"' << jsonEscape(Key) << '"';
       OS << ':';
       dumpValue(OS, Val);
     }

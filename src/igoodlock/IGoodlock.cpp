@@ -21,6 +21,13 @@
 //  * Cycle dedup keys are rotation-minimal 128-bit structural hashes of
 //    per-entry component data (each entry hashed once, no ostringstream),
 //    and the happens-before filter memoizes pairwise clock comparisons.
+//  * Everything above is append-only in the log's entries, so the closure
+//    is a step over a ClosureState: the index, the component hashes and the
+//    cycle keys grow with D, and a step that retains its levels extends
+//    them semi-naively (old chains x new candidates, new chains x all
+//    candidates). runIGoodlock is one step from an empty state;
+//    IncrementalIGoodlock keeps the state between steps (dlf-observe's
+//    epochs) and reruns from empty when a level would pass MaxChains.
 //
 //===----------------------------------------------------------------------===//
 
@@ -78,12 +85,45 @@ struct ChainLevel {
   std::vector<uint32_t> Idx;
   std::vector<ChainMeta> Meta;
   unsigned Len = 1;
+  /// Retained levels only: ByLast[L] lists the chains whose last acquired
+  /// lock is dense id L — the chains a new candidate holding L can extend.
+  std::vector<std::vector<uint32_t>> ByLast;
 
   size_t size() const { return Meta.size(); }
   const uint32_t *chain(size_t I) const { return Idx.data() + I * Len; }
+
+  void push(const uint32_t *Chain, uint32_t Entry, const ChainMeta &M) {
+    Idx.insert(Idx.end(), Chain, Chain + Len - 1);
+    Idx.push_back(Entry);
+    Meta.push_back(M);
+  }
+
+  /// Appends \p From's chains, indexing them by last lock.
+  void append(const ChainLevel &From) {
+    const uint32_t Base = static_cast<uint32_t>(size());
+    Idx.insert(Idx.end(), From.Idx.begin(), From.Idx.end());
+    Meta.insert(Meta.end(), From.Meta.begin(), From.Meta.end());
+    for (uint32_t I = 0; I != From.size(); ++I) {
+      uint32_t L = From.Meta[I].LastDenseAcquired;
+      if (L >= ByLast.size())
+        ByLast.resize(L + 1);
+      ByLast[L].push_back(Base + I);
+    }
+  }
 };
 
-/// Read-only per-relation index shared by all workers.
+/// An extension candidate: an entry holding some lock, with the mode of
+/// that held occurrence. A chain whose last acquire is Shared only waits on
+/// candidates whose hold of that lock is Exclusive.
+struct Candidate {
+  uint32_t Entry;
+  LockMode Mode;
+};
+
+/// Per-relation index, read-only while workers scan. It only ever grows:
+/// extend() appends the entries the log gained, and dense ids, masks and
+/// candidate lists of earlier entries never change (dense ids are assigned
+/// in first-appearance order, so a prefix of D densifies the same way).
 struct RelationIndex {
   std::vector<EntryMeta> Meta;
   /// All held sets as sorted dense ids, sliced by EntryMeta::HeldBegin/End.
@@ -91,88 +131,85 @@ struct RelationIndex {
   /// Parallel to HeldSorted: 1 when that occurrence is an exclusive hold
   /// (the >64-lock fallback needs per-occurrence modes, not just masks).
   std::vector<uint8_t> HeldSortedExcl;
-  /// CSR candidate index: for dense lock id L, CandData[CandOffsets[L],
-  /// CandOffsets[L+1]) are the entries whose held set contains L, in entry
-  /// order — the extension candidates for a chain whose last acquired lock
-  /// is L. Built per held *occurrence* so candidate iteration order (and
-  /// thus discovery order) matches the pre-arena engine exactly.
-  std::vector<uint32_t> CandOffsets;
-  std::vector<uint32_t> CandData;
-  /// Parallel to CandData: the mode of the held occurrence that put the
-  /// entry on the candidate list. A chain whose last acquire is Shared
-  /// only waits on candidates whose hold of that lock is Exclusive.
-  std::vector<LockMode> CandMode;
+  /// For dense lock id L, Cands[L] are the entries whose held set contains
+  /// L, in entry order — the extension candidates for a chain whose last
+  /// acquired lock is L. Built per held *occurrence* so candidate iteration
+  /// order (and thus discovery order) matches the pre-arena engine exactly.
+  std::vector<std::vector<Candidate>> Cands;
+  std::unordered_map<uint64_t, uint32_t> DenseLock;
   uint32_t NumLocks = 0;
   /// True when lockBit is injective (<= 64 distinct locks): mask tests are
   /// then exact in both directions and the sorted fallback is never needed.
   bool MaskExact = true;
-};
 
-RelationIndex buildIndex(const std::vector<DependencyEntry> &D) {
-  RelationIndex Ix;
-  std::unordered_map<uint64_t, uint32_t> DenseLock;
-  auto Densify = [&](LockId L) {
-    auto [It, Inserted] = DenseLock.try_emplace(L.Raw, Ix.NumLocks);
+  /// Locks that gained candidates in the last extend(), and for each such
+  /// lock L, CandFrom[L] = the size of Cands[L] before it (the first new
+  /// candidate). Entries of CandFrom for other locks are stale.
+  std::vector<uint32_t> Touched;
+  std::vector<uint32_t> CandFrom;
+  /// Scratch for extend(): new candidates per lock, 0 for untouched locks.
+  std::vector<uint32_t> NewCands;
+
+  uint32_t densify(LockId L) {
+    auto [It, Inserted] = DenseLock.try_emplace(L.Raw, NumLocks);
     if (Inserted)
-      ++Ix.NumLocks;
+      ++NumLocks;
     return It->second;
-  };
-
-  // Entries without recorded modes (legacy logs) default to Exclusive,
-  // which reproduces the pre-mode engine exactly.
-  auto HeldModeOf = [](const DependencyEntry &E, size_t K) {
-    return K < E.HeldModes.size() ? E.HeldModes[K] : LockMode::Exclusive;
-  };
-
-  size_t HeldTotal = 0;
-  for (const DependencyEntry &E : D)
-    HeldTotal += E.Held.size();
-  Ix.Meta.resize(D.size());
-  Ix.HeldSorted.reserve(HeldTotal);
-  Ix.HeldSortedExcl.reserve(HeldTotal);
-  std::vector<std::pair<uint32_t, uint8_t>> HeldBuf;
-  for (uint32_t I = 0; I != D.size(); ++I) {
-    EntryMeta &M = Ix.Meta[I];
-    M.HeldBegin = static_cast<uint32_t>(Ix.HeldSorted.size());
-    HeldBuf.clear();
-    for (size_t K = 0; K != D[I].Held.size(); ++K) {
-      uint32_t Dense = Densify(D[I].Held[K]);
-      bool Excl = HeldModeOf(D[I], K) == LockMode::Exclusive;
-      HeldBuf.emplace_back(Dense, Excl ? 1 : 0);
-      M.HeldMask |= lockBit(Dense);
-      if (Excl)
-        M.HeldMaskExcl |= lockBit(Dense);
-    }
-    std::sort(HeldBuf.begin(), HeldBuf.end());
-    for (auto [Dense, Excl] : HeldBuf) {
-      Ix.HeldSorted.push_back(Dense);
-      Ix.HeldSortedExcl.push_back(Excl);
-    }
-    M.HeldEnd = static_cast<uint32_t>(Ix.HeldSorted.size());
-    M.DenseAcquired = Densify(D[I].Acquired);
   }
-  Ix.MaskExact = Ix.NumLocks <= 64;
 
-  // CSR fill: counts, prefix sum, then a second pass placing entry indices
-  // (ascending I per lock, preserving candidate order).
-  Ix.CandOffsets.assign(Ix.NumLocks + 1, 0);
-  for (const DependencyEntry &E : D)
-    for (LockId Held : E.Held)
-      ++Ix.CandOffsets[DenseLock[Held.Raw] + 1];
-  for (uint32_t L = 0; L != Ix.NumLocks; ++L)
-    Ix.CandOffsets[L + 1] += Ix.CandOffsets[L];
-  Ix.CandData.resize(HeldTotal);
-  Ix.CandMode.resize(HeldTotal);
-  std::vector<uint32_t> Cursor(Ix.CandOffsets.begin(),
-                               Ix.CandOffsets.end() - 1);
-  for (uint32_t I = 0; I != D.size(); ++I)
-    for (size_t K = 0; K != D[I].Held.size(); ++K) {
-      uint32_t Slot = Cursor[DenseLock[D[I].Held[K].Raw]]++;
-      Ix.CandData[Slot] = I;
-      Ix.CandMode[Slot] = HeldModeOf(D[I], K);
+  /// Indexes entries [Meta.size(), D.size()).
+  void extend(const std::vector<DependencyEntry> &D) {
+    // Entries without recorded modes (legacy logs) default to Exclusive,
+    // which reproduces the pre-mode engine exactly.
+    auto HeldModeOf = [](const DependencyEntry &E, size_t K) {
+      return K < E.HeldModes.size() ? E.HeldModes[K] : LockMode::Exclusive;
+    };
+    for (uint32_t L : Touched)
+      NewCands[L] = 0;
+    Touched.clear();
+    // Held occurrences in entry, then held, order: the candidate order.
+    std::vector<std::pair<uint32_t, Candidate>> Occurrences;
+    std::vector<std::pair<uint32_t, uint8_t>> HeldBuf;
+    for (uint32_t I = static_cast<uint32_t>(Meta.size()); I != D.size(); ++I) {
+      EntryMeta &M = Meta.emplace_back();
+      M.HeldBegin = static_cast<uint32_t>(HeldSorted.size());
+      HeldBuf.clear();
+      for (size_t K = 0; K != D[I].Held.size(); ++K) {
+        uint32_t Dense = densify(D[I].Held[K]);
+        LockMode Mode = HeldModeOf(D[I], K);
+        bool Excl = Mode == LockMode::Exclusive;
+        HeldBuf.emplace_back(Dense, Excl ? 1 : 0);
+        M.HeldMask |= lockBit(Dense);
+        if (Excl)
+          M.HeldMaskExcl |= lockBit(Dense);
+        Occurrences.push_back({Dense, {I, Mode}});
+      }
+      std::sort(HeldBuf.begin(), HeldBuf.end());
+      for (auto [Dense, Excl] : HeldBuf) {
+        HeldSorted.push_back(Dense);
+        HeldSortedExcl.push_back(Excl);
+      }
+      M.HeldEnd = static_cast<uint32_t>(HeldSorted.size());
+      M.DenseAcquired = densify(D[I].Acquired);
     }
-  return Ix;
-}
+    MaskExact = NumLocks <= 64;
+
+    // Every chain's last lock indexes Cands, held by anyone or not. Each
+    // touched list grows once.
+    Cands.resize(NumLocks);
+    CandFrom.resize(NumLocks);
+    NewCands.resize(NumLocks);
+    for (const auto &[Dense, C] : Occurrences)
+      if (NewCands[Dense]++ == 0)
+        Touched.push_back(Dense);
+    for (uint32_t L : Touched) {
+      CandFrom[L] = static_cast<uint32_t>(Cands[L].size());
+      Cands[L].reserve(Cands[L].size() + NewCands[L]);
+    }
+    for (const auto &[Dense, C] : Occurrences)
+      Cands[Dense].push_back(C);
+  }
+};
 
 /// Would acquiring \p DenseLock in \p WantMode block on \p M's holds? An
 /// exclusive want conflicts with any hold; a shared want only with an
@@ -245,7 +282,7 @@ bool canExtend(const std::vector<DependencyEntry> &D, const RelationIndex &Ix,
       return false;
   }
   // 3. (previous acquired lock held by this entry, in a conflicting mode)
-  // is checked at the candidate loop via CandMode: the CSR list for
+  // is checked at the candidate loop via Candidate::Mode: the list for
   // CM.LastDenseAcquired only contains entries holding that lock, and the
   // per-occurrence mode filter rejects shared-wait-on-shared-hold there.
   // 4. held sets pairwise compatible: a conflict needs a common lock held
@@ -305,50 +342,61 @@ bool hbFeasible(const uint32_t *C, unsigned Len, uint32_t Closing,
 /// information (ExtsBefore) for the merge to replay the serial engine's
 /// MaxChains cut exactly.
 struct CycleRec {
-  uint32_t ChainIdx; ///< global index into the current level
+  uint32_t ChainIdx; ///< index into the scanned level
   uint32_t Closing;  ///< closing dependency entry
   uint64_t ExtsBefore; ///< worker-local extensions emitted before this cycle
   bool HbOk;
 };
 
+/// The chains one shard scans: positions [Begin, End) of List (or of Level
+/// itself when List is null), each tried against its last lock's candidates
+/// from CandFrom[lock] on (all of them when CandFrom is null).
+struct ShardWork {
+  const ChainLevel *Level = nullptr;
+  const std::vector<uint32_t> *List = nullptr;
+  const std::vector<uint32_t> *CandFrom = nullptr;
+  size_t Begin = 0;
+  size_t End = 0;
+};
+
 /// One worker's speculative output for a shard of the current level.
 struct WorkerOut {
-  std::vector<uint32_t> NextIdx;
-  std::vector<ChainMeta> NextMeta;
+  ShardWork Work;
+  ChainLevel Next;
   std::vector<CycleRec> Cycles;
   /// Cumulative extension count after each chain of the shard (locates the
   /// MaxChains cut chain at merge time).
   std::vector<uint64_t> ExtsAfterChain;
-  size_t ShardBegin = 0;
-  size_t ShardEnd = 0;
 };
 
-/// The serial per-chain scan over [Begin, End) of the current level. This
-/// is the only place extension work happens; the parallel engine runs it
-/// once per shard and the serial engine runs it once with one shard, so
-/// their per-chain behavior is identical by construction.
+/// The serial per-chain scan of one shard. This is the only place
+/// extension work happens; the parallel engine runs it once per shard and
+/// the serial engine runs it once with one shard, so their per-chain
+/// behavior is identical by construction — and an incremental step runs
+/// the very same scan over its old-chain and new-chain shards.
 void processShard(const std::vector<DependencyEntry> &D,
-                  const RelationIndex &Ix, const ChainLevel &Cur,
-                  const IGoodlockOptions &Opts, size_t Begin, size_t End,
-                  WorkerOut &Out) {
+                  const RelationIndex &Ix, const IGoodlockOptions &Opts,
+                  const ShardWork &W, WorkerOut &Out) {
   HbCache Hb(D);
-  Out.ShardBegin = Begin;
-  Out.ShardEnd = End;
-  Out.ExtsAfterChain.reserve(End - Begin);
+  const ChainLevel &Cur = *W.Level;
+  Out.Work = W;
+  Out.Next.Len = Cur.Len + 1;
+  Out.ExtsAfterChain.reserve(W.End - W.Begin);
   const unsigned Len = Cur.Len;
   uint64_t Exts = 0;
-  for (size_t CI = Begin; CI != End; ++CI) {
+  for (size_t P = W.Begin; P != W.End; ++P) {
+    const size_t CI = W.List ? (*W.List)[P] : P;
     const ChainMeta &CM = Cur.Meta[CI];
     const uint32_t *Chain = Cur.chain(CI);
     const EntryMeta &Head = Ix.Meta[Chain[0]];
-    uint32_t CandBegin = Ix.CandOffsets[CM.LastDenseAcquired];
-    uint32_t CandEnd = Ix.CandOffsets[CM.LastDenseAcquired + 1];
-    for (uint32_t Cand = CandBegin; Cand != CandEnd; ++Cand) {
-      uint32_t EIdx = Ix.CandData[Cand];
+    const std::vector<Candidate> &Cands = Ix.Cands[CM.LastDenseAcquired];
+    for (size_t C = W.CandFrom ? (*W.CandFrom)[CM.LastDenseAcquired] : 0;
+         C != Cands.size(); ++C) {
+      const uint32_t EIdx = Cands[C].Entry;
       // The wait-for link: the chain's pending acquire must actually block
       // on this candidate's hold. Only a shared wait on a shared hold
       // fails (mutex-only logs never skip here).
-      if (!lockModesConflict(CM.LastAcquiredMode, Ix.CandMode[Cand]))
+      if (!lockModesConflict(CM.LastAcquiredMode, Cands[C].Mode))
         continue;
       if (!canExtend(D, Ix, Cur, CI, EIdx, Opts.KeepGuardedCycles))
         continue;
@@ -363,15 +411,299 @@ void processShard(const std::vector<DependencyEntry> &D,
             {static_cast<uint32_t>(CI), EIdx, Exts, HbOk});
         continue;
       }
-      Out.NextIdx.insert(Out.NextIdx.end(), Chain, Chain + Len);
-      Out.NextIdx.push_back(EIdx);
-      Out.NextMeta.push_back({CM.HeldMask | EM.HeldMask,
-                              CM.HeldMaskExcl | EM.HeldMaskExcl,
-                              EM.DenseAcquired, D[EIdx].AcquiredMode});
+      Out.Next.push(Chain, EIdx,
+                    {CM.HeldMask | EM.HeldMask,
+                     CM.HeldMaskExcl | EM.HeldMaskExcl, EM.DenseAcquired,
+                     D[EIdx].AcquiredMode});
       ++Exts;
     }
     Out.ExtsAfterChain.push_back(Exts);
   }
+}
+
+/// Shards \p N chains of \p Proto's work across up to \p Jobs workers and
+/// appends their outputs to \p Outs in shard order. Tiny scans stay on one
+/// shard — the single-shard path *is* the serial engine, so results are
+/// identical either way.
+void scanShards(const std::vector<DependencyEntry> &D, const RelationIndex &Ix,
+                const IGoodlockOptions &Opts, unsigned Jobs, ShardWork Proto,
+                size_t N, std::vector<WorkerOut> &Outs) {
+  if (N == 0)
+    return;
+  size_t Shards = 1;
+  if (Jobs > 1 && Opts.MinChainsPerShard && N >= 2 * Opts.MinChainsPerShard)
+    Shards = std::min<size_t>(Jobs, N / Opts.MinChainsPerShard);
+  Shards = std::max<size_t>(Shards, 1);
+  const size_t First = Outs.size();
+  Outs.resize(First + Shards);
+  auto RunShard = [&](size_t S) {
+    ShardWork W = Proto;
+    W.Begin = N * S / Shards;
+    W.End = N * (S + 1) / Shards;
+    processShard(D, Ix, Opts, W, Outs[First + S]);
+  };
+  std::vector<std::thread> Workers;
+  Workers.reserve(Shards - 1);
+  for (size_t S = 1; S < Shards; ++S)
+    Workers.emplace_back(RunShard, S);
+  RunShard(0);
+  for (std::thread &W : Workers)
+    W.join();
+}
+
+} // namespace
+
+/// Everything the closure has derived from a prefix of the log's entries.
+/// Retained states also keep every level's chains, which is what lets the
+/// next step extend them instead of starting over.
+struct dlf::ClosureState {
+  explicit ClosureState(bool Retain) : Retain(Retain) {}
+
+  const bool Retain;
+  RelationIndex Ix;
+  /// Per-entry component hashes — the cycle dedup key material, equivalent
+  /// to the old string key(ExecutionIndex, UseContext=true) — computed
+  /// lazily so an entry is hashed once no matter how many cycles it closes.
+  std::vector<Hash128> CompHash;
+  std::vector<bool> CompHashReady;
+  std::unordered_map<Hash128, size_t> CycleKeyToIdx;
+  std::vector<AbstractCycle> Cycles;
+  /// Retained only: Levels[K] holds every chain of length K + 1.
+  std::vector<ChainLevel> Levels;
+  /// Some level hit MaxChains and was cut: the levels are incomplete, so
+  /// the state cannot be stepped further.
+  bool Cut = false;
+};
+
+namespace {
+
+Hash128 componentHash(const LockDependencyLog &Log, ClosureState &S,
+                      uint32_t EIdx) {
+  if (!S.CompHashReady[EIdx]) {
+    const DependencyEntry &E = Log.entries()[EIdx];
+    const Abstraction &T =
+        Log.threadInfo(E.Thread).Abs.select(AbstractionKind::ExecutionIndex);
+    const Abstraction &L =
+        Log.lockInfo(E.Acquired).Abs.select(AbstractionKind::ExecutionIndex);
+    Hasher128 H;
+    // Variable-length sequences are length-framed so (thread, lock,
+    // context) element streams cannot alias each other.
+    H.add(T.Elements.size());
+    for (uint32_t El : T.Elements)
+      H.add(El);
+    H.add(L.Elements.size());
+    for (uint32_t El : L.Elements)
+      H.add(El);
+    H.add(E.Context.size());
+    for (Label Site : E.Context)
+      H.add(Site.raw());
+    S.CompHash[EIdx] = H.finish();
+    S.CompHashReady[EIdx] = true;
+  }
+  return S.CompHash[EIdx];
+}
+
+/// Collapses abstract duplicates, keyed by the rotation-minimal structural
+/// hash (ties between rotations yield identical sequences, so any minimal
+/// choice streams the same key).
+void reportCycle(const LockDependencyLog &Log, ClosureState &S,
+                 const uint32_t *Chain, unsigned Len, uint32_t Closing,
+                 std::vector<Hash128> &MemberBuf) {
+  const std::vector<DependencyEntry> &D = Log.entries();
+  const size_t M = Len + 1;
+  MemberBuf.clear();
+  for (unsigned I = 0; I != Len; ++I)
+    MemberBuf.push_back(componentHash(Log, S, Chain[I]));
+  MemberBuf.push_back(componentHash(Log, S, Closing));
+  size_t Best = 0;
+  for (size_t R = 1; R != M; ++R)
+    for (size_t I = 0; I != M; ++I) {
+      const Hash128 &A = MemberBuf[(R + I) % M];
+      const Hash128 &B = MemberBuf[(Best + I) % M];
+      if (A != B) {
+        if (A < B)
+          Best = R;
+        break;
+      }
+    }
+  Hasher128 H;
+  H.add(M);
+  for (size_t I = 0; I != M; ++I) {
+    const Hash128 &Part = MemberBuf[(Best + I) % M];
+    H.add(Part.Hi);
+    H.add(Part.Lo);
+  }
+  auto [It, Inserted] = S.CycleKeyToIdx.try_emplace(H.finish(), S.Cycles.size());
+  if (!Inserted) {
+    ++S.Cycles[It->second].Multiplicity;
+    return;
+  }
+  AbstractCycle Cycle;
+  auto AddComponent = [&](const DependencyEntry &E) {
+    CycleComponent Comp;
+    Comp.Thread = E.Thread;
+    Comp.ThreadName = Log.threadInfo(E.Thread).Name;
+    Comp.ThreadAbs = Log.threadInfo(E.Thread).Abs;
+    Comp.Lock = E.Acquired;
+    Comp.LockName = Log.lockInfo(E.Acquired).Name;
+    Comp.LockAbs = Log.lockInfo(E.Acquired).Abs;
+    Comp.Context = E.Context;
+    Cycle.Components.push_back(std::move(Comp));
+  };
+  for (unsigned I = 0; I != Len; ++I)
+    AddComponent(D[Chain[I]]);
+  AddComponent(D[Closing]);
+  S.Cycles.push_back(std::move(Cycle));
+}
+
+/// One closure step: brings \p S up to date with every entry of \p Log.
+///
+/// A level's chains split into old ones (every member consumed by an
+/// earlier step) and new ones (at least one member new), so level k+1's new
+/// chains are old(k) x new candidates plus new(k) x all candidates, and its
+/// new cycle instances close the same way; old x old was done before. From
+/// an empty state nothing is old, and the step is exactly the one-shot
+/// engine: level 1 is D itself, all cycles of length k are found before any
+/// of length k+1, and MaxChains cuts a level where the serial engine would.
+///
+/// A step over a non-empty state cannot reproduce that cut — its discovery
+/// order differs — so when a level would pass MaxChains it returns false,
+/// leaving \p S unusable, and the caller starts over from an empty state.
+/// \p LevelChains receives the chains materialized per level.
+bool extendClosure(const LockDependencyLog &Log, const IGoodlockOptions &Opts,
+                   ClosureState &S, IGoodlockStats &Stats,
+                   std::vector<uint64_t> &LevelChains) {
+  const std::vector<DependencyEntry> &D = Log.entries();
+  const uint32_t From = static_cast<uint32_t>(S.Ix.Meta.size());
+  const unsigned Jobs =
+      Opts.AnalysisJobs
+          ? Opts.AnalysisJobs
+          : std::max(1u, std::thread::hardware_concurrency());
+  Stats.Entries = D.size();
+  Stats.JobsUsed = Jobs;
+
+  S.Ix.extend(D);
+  const RelationIndex &Ix = S.Ix;
+  S.CompHash.resize(D.size());
+  S.CompHashReady.resize(D.size(), false);
+
+  // New level-1 chains, restricted to entries that can head a cycle chain:
+  // the head's held set must eventually contain the closing lock, so an
+  // empty held set can never close (Definition 3 needs l_m ∈ L_1).
+  ChainLevel New;
+  New.Len = 1;
+  for (uint32_t I = From; I != D.size(); ++I) {
+    if (D[I].Held.empty())
+      continue;
+    New.Idx.push_back(I);
+    New.Meta.push_back({Ix.Meta[I].HeldMask, Ix.Meta[I].HeldMaskExcl,
+                        Ix.Meta[I].DenseAcquired, D[I].AcquiredMode});
+  }
+  Stats.ChainsExplored += New.size();
+
+  std::vector<Hash128> MemberBuf;
+  std::vector<uint32_t> OldWork;
+  for (unsigned Len = 1; Len < Opts.MaxCycleLength &&
+                         (New.size() != 0 || Len <= S.Levels.size());
+       ++Len) {
+    ++Stats.Iterations;
+
+    // Old chains that can meet a new candidate: exactly those ending in a
+    // lock some new entry holds.
+    const ChainLevel *Old = Len <= S.Levels.size() ? &S.Levels[Len - 1]
+                                                   : nullptr;
+    OldWork.clear();
+    if (Old)
+      for (uint32_t L : Ix.Touched)
+        if (L < Old->ByLast.size())
+          OldWork.insert(OldWork.end(), Old->ByLast[L].begin(),
+                         Old->ByLast[L].end());
+
+    std::vector<WorkerOut> Outs;
+    scanShards(D, Ix, Opts, Jobs, {Old, &OldWork, &Ix.CandFrom},
+               OldWork.size(), Outs);
+    scanShards(D, Ix, Opts, Jobs, {&New, nullptr, nullptr}, New.size(),
+               Outs);
+
+    // Deterministic in-order merge. The serial engine aborts the whole
+    // level at the first extension attempt past MaxChains; the replay
+    // commits exactly the extensions serial would have, keeps the cycles
+    // discovered before the aborting attempt, and counts every chain from
+    // the cut chain on as dropped.
+    const size_t OldNext = Len < S.Levels.size() ? S.Levels[Len].size() : 0;
+    ChainLevel Next;
+    Next.Len = Len + 1;
+    bool LevelCut = false;
+    uint64_t NextCount = 0;
+    for (WorkerOut &Out : Outs) {
+      const size_t ShardChains = Out.Work.End - Out.Work.Begin;
+      if (LevelCut) {
+        Stats.ChainsDropped += ShardChains;
+        continue;
+      }
+      const uint64_t TotalExts =
+          Out.ExtsAfterChain.empty() ? 0 : Out.ExtsAfterChain.back();
+      const uint64_t Capacity = Opts.MaxChains - OldNext - NextCount;
+      uint64_t KeptExts = TotalExts;
+      if (TotalExts > Capacity) {
+        if (From != 0)
+          return false;
+        KeptExts = Capacity;
+        LevelCut = true;
+        S.Cut = true;
+        Stats.Truncated = true;
+        size_t CutChain = static_cast<size_t>(
+            std::upper_bound(Out.ExtsAfterChain.begin(),
+                             Out.ExtsAfterChain.end(), Capacity) -
+            Out.ExtsAfterChain.begin());
+        Stats.ChainsDropped += ShardChains - CutChain;
+      }
+      Next.Idx.insert(Next.Idx.end(), Out.Next.Idx.begin(),
+                      Out.Next.Idx.begin() +
+                          static_cast<size_t>(KeptExts) * Next.Len);
+      Next.Meta.insert(Next.Meta.end(), Out.Next.Meta.begin(),
+                       Out.Next.Meta.begin() + static_cast<size_t>(KeptExts));
+      for (const CycleRec &R : Out.Cycles) {
+        // Cycles examined at or past the aborting extension attempt were
+        // never reached by the serial engine.
+        if (NextCount + R.ExtsBefore > Opts.MaxChains)
+          break;
+        if (!R.HbOk) {
+          ++Stats.FilteredByHb;
+        } else if (S.Cycles.size() < Opts.MaxCycles) {
+          reportCycle(Log, S, Out.Work.Level->chain(R.ChainIdx), Len,
+                      R.Closing, MemberBuf);
+        } else {
+          Stats.Truncated = true;
+          ++Stats.CyclesDropped;
+        }
+      }
+      NextCount += KeptExts;
+    }
+    Stats.ChainsExplored += NextCount;
+    LevelChains.push_back(NextCount);
+    if (S.Retain) {
+      if (Len > S.Levels.size())
+        S.Levels.emplace_back().Len = Len;
+      S.Levels[Len - 1].append(New);
+    }
+    New = std::move(Next);
+  }
+  // The top level is never extended, but its size still bounds the next
+  // step's MaxChains check.
+  if (S.Retain && New.size() != 0) {
+    if (New.Len > S.Levels.size())
+      S.Levels.emplace_back().Len = New.Len;
+    S.Levels[New.Len - 1].append(New);
+  }
+  return true;
+}
+
+uint64_t microsSince(std::chrono::steady_clock::time_point Start) {
+  return static_cast<uint64_t>(
+      std::chrono::duration_cast<std::chrono::microseconds>(
+          std::chrono::steady_clock::now() - Start)
+          .count());
 }
 
 } // namespace
@@ -380,217 +712,24 @@ std::vector<AbstractCycle> dlf::runIGoodlock(const LockDependencyLog &Log,
                                              const IGoodlockOptions &Opts,
                                              IGoodlockStats *Stats) {
   auto StartTime = std::chrono::steady_clock::now();
-  const std::vector<DependencyEntry> &D = Log.entries();
-
+  ClosureState S(/*Retain=*/false);
   IGoodlockStats LocalStats;
-  LocalStats.Entries = D.size();
-  unsigned Jobs =
-      Opts.AnalysisJobs
-          ? Opts.AnalysisJobs
-          : std::max(1u, std::thread::hardware_concurrency());
-  LocalStats.JobsUsed = Jobs;
+  std::vector<uint64_t> LevelChains;
+  // From an empty state a step never declines.
+  extendClosure(Log, Opts, S, LocalStats, LevelChains);
+  LocalStats.ElapsedMicros = microsSince(StartTime);
 
-  RelationIndex Ix = buildIndex(D);
-  std::vector<AbstractCycle> Cycles;
-
-  // Per-entry component hashes — the cycle dedup key material, equivalent
-  // to the old string key(ExecutionIndex, UseContext=true) — computed
-  // lazily so an entry is hashed once no matter how many cycles it closes.
-  std::vector<Hash128> CompHash(D.size());
-  std::vector<bool> CompHashReady(D.size(), false);
-  auto componentHash = [&](uint32_t EIdx) {
-    if (!CompHashReady[EIdx]) {
-      const DependencyEntry &E = D[EIdx];
-      const Abstraction &T =
-          Log.threadInfo(E.Thread).Abs.select(AbstractionKind::ExecutionIndex);
-      const Abstraction &L =
-          Log.lockInfo(E.Acquired).Abs.select(AbstractionKind::ExecutionIndex);
-      Hasher128 H;
-      // Variable-length sequences are length-framed so (thread, lock,
-      // context) element streams cannot alias each other.
-      H.add(T.Elements.size());
-      for (uint32_t El : T.Elements)
-        H.add(El);
-      H.add(L.Elements.size());
-      for (uint32_t El : L.Elements)
-        H.add(El);
-      H.add(E.Context.size());
-      for (Label Site : E.Context)
-        H.add(Site.raw());
-      CompHash[EIdx] = H.finish();
-      CompHashReady[EIdx] = true;
-    }
-    return CompHash[EIdx];
-  };
-
-  // Collapse abstract duplicates, keyed by the rotation-minimal structural
-  // hash (ties between rotations yield identical sequences, so any minimal
-  // choice streams the same key).
-  std::unordered_map<Hash128, size_t> CycleKeyToIdx;
-  std::vector<Hash128> MemberBuf;
-  auto ReportCycle = [&](const uint32_t *Chain, unsigned Len,
-                         uint32_t Closing) {
-    const size_t M = Len + 1;
-    MemberBuf.clear();
-    for (unsigned I = 0; I != Len; ++I)
-      MemberBuf.push_back(componentHash(Chain[I]));
-    MemberBuf.push_back(componentHash(Closing));
-    size_t Best = 0;
-    for (size_t R = 1; R != M; ++R)
-      for (size_t I = 0; I != M; ++I) {
-        const Hash128 &A = MemberBuf[(R + I) % M];
-        const Hash128 &B = MemberBuf[(Best + I) % M];
-        if (A != B) {
-          if (A < B)
-            Best = R;
-          break;
-        }
-      }
-    Hasher128 H;
-    H.add(M);
-    for (size_t I = 0; I != M; ++I) {
-      const Hash128 &Part = MemberBuf[(Best + I) % M];
-      H.add(Part.Hi);
-      H.add(Part.Lo);
-    }
-    auto [It, Inserted] = CycleKeyToIdx.try_emplace(H.finish(), Cycles.size());
-    if (!Inserted) {
-      ++Cycles[It->second].Multiplicity;
-      return;
-    }
-    AbstractCycle Cycle;
-    auto AddComponent = [&](const DependencyEntry &E) {
-      CycleComponent Comp;
-      Comp.Thread = E.Thread;
-      Comp.ThreadName = Log.threadInfo(E.Thread).Name;
-      Comp.ThreadAbs = Log.threadInfo(E.Thread).Abs;
-      Comp.Lock = E.Acquired;
-      Comp.LockName = Log.lockInfo(E.Acquired).Name;
-      Comp.LockAbs = Log.lockInfo(E.Acquired).Abs;
-      Comp.Context = E.Context;
-      Cycle.Components.push_back(std::move(Comp));
-    };
-    for (unsigned I = 0; I != Len; ++I)
-      AddComponent(D[Chain[I]]);
-    AddComponent(D[Closing]);
-    Cycles.push_back(std::move(Cycle));
-  };
-
-  // D_1 = D, restricted to entries that can head a cycle chain: the head's
-  // held set must eventually contain the closing lock, so an empty held
-  // set can never close (Definition 3 needs l_m ∈ L_1).
-  ChainLevel Current;
-  Current.Len = 1;
-  for (uint32_t I = 0; I != D.size(); ++I) {
-    if (D[I].Held.empty())
-      continue;
-    Current.Idx.push_back(I);
-    Current.Meta.push_back({Ix.Meta[I].HeldMask, Ix.Meta[I].HeldMaskExcl,
-                            Ix.Meta[I].DenseAcquired, D[I].AcquiredMode});
-  }
-  LocalStats.ChainsExplored += Current.size();
-
-  // Iterate: all cycles of length k are found before any of length k+1.
-  for (unsigned Len = 1; Len < Opts.MaxCycleLength && Current.size() != 0;
-       ++Len) {
-    ++LocalStats.Iterations;
-
-    // Shard the level across workers. Tiny levels stay on one shard — the
-    // single-shard path *is* the serial engine, so results are identical
-    // either way.
-    const size_t NumChains = Current.size();
-    size_t Shards = 1;
-    if (Jobs > 1 && Opts.MinChainsPerShard &&
-        NumChains >= 2 * Opts.MinChainsPerShard)
-      Shards = std::min<size_t>(Jobs, NumChains / Opts.MinChainsPerShard);
-    Shards = std::max<size_t>(Shards, 1);
-    std::vector<WorkerOut> Outs(Shards);
-    auto RunShard = [&](size_t S) {
-      processShard(D, Ix, Current, Opts, NumChains * S / Shards,
-                   NumChains * (S + 1) / Shards, Outs[S]);
-    };
-    {
-      std::vector<std::thread> Workers;
-      Workers.reserve(Shards - 1);
-      for (size_t S = 1; S < Shards; ++S)
-        Workers.emplace_back(RunShard, S);
-      RunShard(0);
-      for (std::thread &W : Workers)
-        W.join();
-    }
-
-    // Deterministic in-order merge. The serial engine aborts the whole
-    // level at the first extension attempt past MaxChains; the replay
-    // commits exactly the extensions serial would have, keeps the cycles
-    // discovered before the aborting attempt, and counts every chain from
-    // the cut chain on as dropped.
-    ChainLevel Next;
-    Next.Len = Len + 1;
-    bool LevelCut = false;
-    uint64_t NextCount = 0;
-    for (size_t S = 0; S != Shards; ++S) {
-      WorkerOut &Out = Outs[S];
-      const size_t ShardChains = Out.ShardEnd - Out.ShardBegin;
-      if (LevelCut) {
-        LocalStats.ChainsDropped += ShardChains;
-        continue;
-      }
-      const uint64_t TotalExts =
-          Out.ExtsAfterChain.empty() ? 0 : Out.ExtsAfterChain.back();
-      const uint64_t Capacity = Opts.MaxChains - NextCount;
-      uint64_t KeptExts = TotalExts;
-      if (TotalExts > Capacity) {
-        KeptExts = Capacity;
-        LevelCut = true;
-        LocalStats.Truncated = true;
-        size_t CutChain = static_cast<size_t>(
-            std::upper_bound(Out.ExtsAfterChain.begin(),
-                             Out.ExtsAfterChain.end(), Capacity) -
-            Out.ExtsAfterChain.begin());
-        LocalStats.ChainsDropped += ShardChains - CutChain;
-      }
-      Next.Idx.insert(Next.Idx.end(), Out.NextIdx.begin(),
-                      Out.NextIdx.begin() +
-                          static_cast<size_t>(KeptExts) * Next.Len);
-      Next.Meta.insert(Next.Meta.end(), Out.NextMeta.begin(),
-                       Out.NextMeta.begin() + static_cast<size_t>(KeptExts));
-      for (const CycleRec &R : Out.Cycles) {
-        // Cycles examined at or past the aborting extension attempt were
-        // never reached by the serial engine.
-        if (NextCount + R.ExtsBefore > Opts.MaxChains)
-          break;
-        if (!R.HbOk) {
-          ++LocalStats.FilteredByHb;
-        } else if (Cycles.size() < Opts.MaxCycles) {
-          ReportCycle(Current.chain(R.ChainIdx), Len, R.Closing);
-        } else {
-          LocalStats.Truncated = true;
-          ++LocalStats.CyclesDropped;
-        }
-      }
-      NextCount += KeptExts;
-    }
-    LocalStats.ChainsExplored += NextCount;
-    if (telemetry::enabled())
-      telemetry::Registry::global()
-          .histogram("dlf_igoodlock_level_chains")
-          .observe(NextCount);
-    Current = std::move(Next);
-  }
-
-  LocalStats.ElapsedMicros = static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(
-          std::chrono::steady_clock::now() - StartTime)
-          .count());
   if (telemetry::enabled()) {
     // Bulk-record from the stats the closure already keeps, so telemetry
     // stays an exact mirror of IGoodlockStats (and jobs-invariant, since
     // the merged stats themselves are).
     telemetry::Registry &R = telemetry::Registry::global();
+    for (uint64_t N : LevelChains)
+      R.histogram("dlf_igoodlock_level_chains").observe(N);
     R.counter("dlf_igoodlock_runs_total").inc();
     R.counter("dlf_igoodlock_entries_total").inc(LocalStats.Entries);
     R.counter("dlf_igoodlock_chains_total").inc(LocalStats.ChainsExplored);
-    R.counter("dlf_igoodlock_cycles_total").inc(Cycles.size());
+    R.counter("dlf_igoodlock_cycles_total").inc(S.Cycles.size());
     R.counter("dlf_igoodlock_chains_dropped_total")
         .inc(LocalStats.ChainsDropped);
     R.counter("dlf_igoodlock_cycles_dropped_total")
@@ -600,5 +739,33 @@ std::vector<AbstractCycle> dlf::runIGoodlock(const LockDependencyLog &Log,
   }
   if (Stats)
     *Stats = LocalStats;
-  return Cycles;
+  return std::move(S.Cycles);
+}
+
+IncrementalIGoodlock::IncrementalIGoodlock(const IGoodlockOptions &Opts)
+    : Opts(Opts), State(std::make_unique<ClosureState>(/*Retain=*/true)) {}
+
+IncrementalIGoodlock::~IncrementalIGoodlock() = default;
+
+size_t IncrementalIGoodlock::step(const LockDependencyLog &Log,
+                                  IGoodlockStats *Stats) {
+  auto StartTime = std::chrono::steady_clock::now();
+  IGoodlockStats LocalStats;
+  std::vector<uint64_t> LevelChains;
+  bool Stepped = false;
+  if (State->Retain && !State->Cut)
+    Stepped = extendClosure(Log, Opts, *State, LocalStats, LevelChains);
+  if (!Stepped) {
+    // A level passed MaxChains. It always will from now on (levels only
+    // grow with D), so this and every later step is a full run from an
+    // empty state, and retaining its levels would be wasted.
+    State = std::make_unique<ClosureState>(/*Retain=*/false);
+    LocalStats = IGoodlockStats();
+    extendClosure(Log, Opts, *State, LocalStats, LevelChains);
+    ++FullRuns;
+  }
+  LocalStats.ElapsedMicros = microsSince(StartTime);
+  if (Stats)
+    *Stats = LocalStats;
+  return State->Cycles.size();
 }

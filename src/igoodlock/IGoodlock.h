@@ -28,6 +28,7 @@
 #include "igoodlock/Report.h"
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 namespace dlf {
@@ -110,6 +111,45 @@ struct IGoodlockStats {
 std::vector<AbstractCycle> runIGoodlock(const LockDependencyLog &Log,
                                         const IGoodlockOptions &Opts = {},
                                         IGoodlockStats *Stats = nullptr);
+
+/// What the closure has derived from a prefix of a log (IGoodlock.cpp).
+struct ClosureState;
+
+/// The closure over a growing log, stepped once per batch of new entries
+/// (dlf-observe's epochs). Each step keeps the previous steps' chain levels
+/// and cycle keys and extends them semi-naively: old chains x new candidate
+/// entries, plus new chains x all candidates — work proportional to what
+/// the new entries bring, on the same per-chain scan runIGoodlock runs
+/// (runIGoodlock is one step from an empty state). When a level would pass
+/// MaxChains the step falls back to a full run from an empty state, as do
+/// all later steps.
+///
+/// The cycle *set* matches runIGoodlock's after every step; the discovery
+/// order does not, so reports that print cycles in order come from one
+/// runIGoodlock over the final log.
+class IncrementalIGoodlock {
+public:
+  explicit IncrementalIGoodlock(const IGoodlockOptions &Opts = {});
+  ~IncrementalIGoodlock();
+  IncrementalIGoodlock(const IncrementalIGoodlock &) = delete;
+  IncrementalIGoodlock &operator=(const IncrementalIGoodlock &) = delete;
+
+  /// Extends the closure over the entries \p Log gained since the last
+  /// step and returns runIGoodlock(Log, Opts).size(). \p Log must be the
+  /// log of every earlier step, only grown (entries, and the thread and
+  /// lock metadata they name, are append-only). \p Stats (may be null)
+  /// describes this step: Entries is |D|, ChainsExplored the chains it
+  /// materialized, ElapsedMicros its wall time.
+  size_t step(const LockDependencyLog &Log, IGoodlockStats *Stats = nullptr);
+
+  /// Steps that ran the full closure because a level passed MaxChains.
+  uint64_t fullRuns() const { return FullRuns; }
+
+private:
+  IGoodlockOptions Opts;
+  std::unique_ptr<ClosureState> State;
+  uint64_t FullRuns = 0;
+};
 
 } // namespace dlf
 

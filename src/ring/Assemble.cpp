@@ -14,13 +14,23 @@ namespace ring {
 namespace {
 
 void push(std::vector<analysis::TraceEvent> &Out, analysis::TraceEvent::Kind K,
-          uint64_t A, uint64_t B = 0, std::string Text = std::string()) {
-  analysis::TraceEvent E;
+          uint64_t A, uint64_t B = 0, std::string Text = std::string(),
+          Label Interned = Label()) {
+  analysis::TraceEvent &E = Out.emplace_back();
   E.K = K;
   E.A = A;
   E.B = B;
   E.Text = std::move(Text);
-  Out.push_back(std::move(E));
+  E.Interned = Interned;
+}
+
+/// A ThreadNew/LockNew event: the abstraction text plus its label,
+/// interned here — at push time, in stream order — so the labels get the
+/// raw ids the log builder would have given them.
+void pushNamed(std::vector<analysis::TraceEvent> &Out,
+               analysis::TraceEvent::Kind K, uint64_t A, std::string Name) {
+  Label Interned = Label::intern(Name);
+  push(Out, K, A, 0, std::move(Name), Interned);
 }
 
 } // namespace
@@ -33,6 +43,36 @@ const std::string &Assembler::siteText(uint32_t Id) {
   if (Name.empty())
     Name = "unknown"; // id 0: the writer's string table overflowed
   return SiteCache.emplace(Id, std::move(Name)).first->second;
+}
+
+Label Assembler::siteLabel(uint32_t Id) {
+  auto It = SiteLabels.find(Id);
+  if (It != SiteLabels.end())
+    return It->second;
+  return SiteLabels.emplace(Id, Label::intern(siteText(Id))).first->second;
+}
+
+void Assembler::pushAcquire(std::vector<analysis::TraceEvent> &Out,
+                            analysis::TraceEvent::Kind K, const Record &R,
+                            uint64_t LockId) {
+  // The log builder skips (and never interns the site of) an acquire by a
+  // thread no ThreadNew announced — after a dropped fork record, say. Such
+  // an event keeps its site text, so the interning order stays the
+  // builder's.
+  if (!Announced[R.Tid]) {
+    push(Out, K, R.Tid, LockId, siteText(R.Site));
+    return;
+  }
+  push(Out, K, R.Tid, LockId, std::string(), siteLabel(R.Site));
+}
+
+void Assembler::announce(std::vector<analysis::TraceEvent> &Out, uint64_t Tid,
+                         uint32_t Site) {
+  // Record tids are 16 bits wide, so a larger one never acquires anything.
+  if (Tid < Announced.size())
+    Announced[Tid] = true;
+  pushNamed(Out, analysis::TraceEvent::Kind::ThreadNew, Tid,
+            bumpSite(siteText(Site)));
 }
 
 std::string Assembler::bumpSite(const std::string &Site) {
@@ -50,8 +90,8 @@ Assembler::LockState &Assembler::lockAt(uint64_t Addr, uint32_t Site,
   LockState L;
   L.Id = NextLockId++;
   It = Locks.emplace(Addr, std::move(L)).first;
-  push(Out, analysis::TraceEvent::Kind::LockNew, It->second.Id, 0,
-       bumpSite(siteText(Site)));
+  pushNamed(Out, analysis::TraceEvent::Kind::LockNew, It->second.Id,
+            bumpSite(siteText(Site)));
   return It->second;
 }
 
@@ -68,12 +108,12 @@ void Assembler::feed(const std::vector<Record> &Records,
   for (const Record &R : Records) {
     switch (static_cast<RecordKind>(R.Kind)) {
     case RecordKind::ThreadSelf:
-      push(Out, K::ThreadNew, R.Tid, 0, bumpSite(siteText(R.Site)));
+      announce(Out, R.Tid, R.Site);
       break;
 
     case RecordKind::ThreadFork:
       // Addr carries the child tid; the T line precedes the F line.
-      push(Out, K::ThreadNew, R.Addr, 0, bumpSite(siteText(R.Site)));
+      announce(Out, R.Addr, R.Site);
       push(Out, K::Fork, R.Tid, R.Addr);
       break;
 
@@ -92,7 +132,7 @@ void Assembler::feed(const std::vector<Record> &Records,
       }
       L.OwnerTid = R.Tid;
       L.Recursion = 1;
-      push(Out, K::Acquire, R.Tid, L.Id, siteText(R.Site));
+      pushAcquire(Out, K::Acquire, R, L.Id);
       break;
     }
 
@@ -114,7 +154,7 @@ void Assembler::feed(const std::vector<Record> &Records,
     case RecordKind::SharedAcquire: {
       LockState &L = lockAt(R.Addr, R.Site, Out);
       L.ReaderTids.push_back(R.Tid);
-      push(Out, K::SharedAcquire, R.Tid, L.Id, siteText(R.Site));
+      pushAcquire(Out, K::SharedAcquire, R, L.Id);
       break;
     }
 

@@ -17,6 +17,12 @@
 ///  * dense lock / condvar / object ids, assigned at first sight;
 ///  * "site#n" abstractions via the same shared per-site occurrence
 ///    counter the preload's bumpSite uses;
+///  * interned labels (analysis::TraceEvent::Interned) for thread and lock
+///    names and for acquire sites, interned at push time in the order the
+///    log builder would intern them, so label raw ids are the same as for
+///    the text path; acquire events carry the label instead of a copy of
+///    the site string (except those of threads no ThreadNew introduced,
+///    which the builder skips uninterned);
 ///  * mutex recursion collapse (footnote 2: only 0->1 acquires and 1->0
 ///    releases are events);
 ///  * rwlock unlock side resolution (pthread_rwlock_unlock does not say
@@ -68,6 +74,13 @@ private:
   };
 
   const std::string &siteText(uint32_t Id);
+  Label siteLabel(uint32_t Id);
+  /// Emits a ThreadNew event (the builder then knows \p Tid).
+  void announce(std::vector<analysis::TraceEvent> &Out, uint64_t Tid,
+                uint32_t Site);
+  void pushAcquire(std::vector<analysis::TraceEvent> &Out,
+                   analysis::TraceEvent::Kind K, const Record &R,
+                   uint64_t LockId);
   std::string bumpSite(const std::string &Site);
   /// First-sight lock registration (emits the LockNew event).
   LockState &lockAt(uint64_t Addr, uint32_t Site,
@@ -76,6 +89,9 @@ private:
 
   const RingReader &Reader;
   std::unordered_map<uint32_t, std::string> SiteCache;
+  std::unordered_map<uint32_t, Label> SiteLabels;
+  /// Tids a ThreadNew event has introduced, indexed by record tid.
+  std::vector<bool> Announced = std::vector<bool>(1u << 16);
   std::unordered_map<uint64_t, LockState> Locks;
   std::unordered_map<uint64_t, uint64_t> Conds;
   std::unordered_map<uint64_t, uint64_t> Objects;

@@ -7,6 +7,7 @@
 #include "serve/StatusServer.h"
 
 #include "support/Env.h"
+#include "support/JsonEscape.h"
 #include "support/Retry.h"
 #include "telemetry/Metrics.h"
 
@@ -81,39 +82,6 @@ std::string sseFrame(const std::string &Type, const std::string &Json) {
   F += Json;
   F += "\n\n";
   return F;
-}
-
-std::string jsonEscape(const std::string &S) {
-  std::string Out;
-  Out.reserve(S.size() + 2);
-  for (char Ch : S) {
-    switch (Ch) {
-    case '"':
-      Out += "\\\"";
-      break;
-    case '\\':
-      Out += "\\\\";
-      break;
-    case '\n':
-      Out += "\\n";
-      break;
-    case '\r':
-      Out += "\\r";
-      break;
-    case '\t':
-      Out += "\\t";
-      break;
-    default:
-      if (static_cast<unsigned char>(Ch) < 0x20) {
-        char Buf[8];
-        std::snprintf(Buf, sizeof(Buf), "\\u%04x", Ch);
-        Out += Buf;
-      } else {
-        Out += Ch;
-      }
-    }
-  }
-  return Out;
 }
 
 } // namespace

@@ -76,7 +76,9 @@ void collections::runListsHarness() {
         Thread Slow(
             [&] {
               DLF_SCOPE("lists::slowWorker");
-              stagger(12);
+              // Twelve yields under the Active scheduler; a real pause in
+              // Record mode, where yields alone let the pair overlap.
+              staggerWall(12, 2000);
               (L2.*MethodB.Method)(L1);
             },
             std::string(ClassName) + ".slow." + MethodB.Name, DLF_SITE(),
@@ -105,7 +107,9 @@ void collections::runMapsHarness() {
     // Four concurrent workers sharing the two monitors: m1-first and
     // m2-first directions for each of equals/getAll. Any (m1-first,
     // m2-first) pair can close a cycle, so four abstract cycles exist per
-    // class and Phase II often creates a non-target one first.
+    // class and Phase II often creates a non-target one first. Outside
+    // the Active scheduler the staggers are real 3 ms steps, so a plain
+    // run under load does not overlap the windows for real.
     Thread EqualsForward(
         [&] {
           DLF_SCOPE("maps::equalsForward");
@@ -115,21 +119,21 @@ void collections::runMapsHarness() {
     Thread EqualsBackward(
         [&] {
           DLF_SCOPE("maps::equalsBackward");
-          stagger(6);
+          staggerWall(6, 3000);
           M2.equals(M1);
         },
         std::string(ClassName) + ".eqBwd", DLF_SITE(), &Anchor);
     Thread GetForward(
         [&] {
           DLF_SCOPE("maps::getForward");
-          stagger(12);
+          staggerWall(12, 6000);
           M1.getAll(M2);
         },
         std::string(ClassName) + ".getFwd", DLF_SITE(), &Anchor);
     Thread GetBackward(
         [&] {
           DLF_SCOPE("maps::getBackward");
-          stagger(18);
+          staggerWall(18, 9000);
           M2.getAll(M1);
         },
         std::string(ClassName) + ".getBwd", DLF_SITE(), &Anchor);

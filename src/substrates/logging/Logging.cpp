@@ -148,6 +148,12 @@ Thread spawnLoggingWorker(LogManager &Manager, std::function<void()> Body,
                 DLF_NAMED_SITE("logging::spawnWorker/thread"), &Manager);
 }
 
+/// Real-time separation of each cycle's second participant from its
+/// first, outside the Active scheduler (see staggerWall): uninstrumented
+/// runs start the workers at OS latency, and under load two scheduling
+/// points of yields are not enough to keep them from overlapping for real.
+constexpr unsigned HazardPauseUs = 5000;
+
 } // namespace
 
 void logging::runLoggingHarness() {
@@ -182,7 +188,7 @@ void logging::runLoggingHarness() {
       Manager,
       [&] {
         DLF_SCOPE("logging::resetWorker");
-        stagger(2);
+        staggerWall(2, HazardPauseUs);
         (void)L1.isEnabled(); // gate: logger monitor, alone
         Manager.reset(L1);
       },
@@ -201,7 +207,7 @@ void logging::runLoggingHarness() {
       Manager,
       [&] {
         DLF_SCOPE("logging::formatterWorker");
-        stagger(2);
+        staggerWall(2, HazardPauseUs);
         (void)L2.name(); // gate: logger monitor, alone
         H1.setFormatterFor(L2, "%m");
       },
@@ -220,7 +226,7 @@ void logging::runLoggingHarness() {
       Manager,
       [&] {
         DLF_SCOPE("logging::flushWorker");
-        stagger(2);
+        staggerWall(2, HazardPauseUs);
         (void)Manager.getProperty(); // gate: manager monitor, alone
         H2.flush();
       },

@@ -49,7 +49,7 @@ void workloads::runRwlockAbba() {
         // drained its (nanosecond-wide) window; under the Active
         // scheduler this is an ordinary two-point stagger and Phase II
         // overlaps the windows by pausing scan instead.
-        staggerWall(2, 3000);
+        staggerWall(2, 10000);
         RwReadGuard Gate(Registry, DLF_NAMED_SITE("merge::gate/registry"));
         RwReadGuard From(TableB, DLF_NAMED_SITE("merge::from/tableB"));
         stagger(1);

@@ -2,6 +2,8 @@
 
 #include "telemetry/Metrics.h"
 
+#include "support/JsonEscape.h"
+
 #include <algorithm>
 #include <bit>
 #include <mutex>
@@ -336,24 +338,6 @@ void MetricsSnapshot::merge(const MetricsSnapshot &Other) {
   }
 }
 
-namespace {
-
-void jsonEscapeTo(std::ostringstream &OS, const std::string &S) {
-  OS << '"';
-  for (char Ch : S) {
-    if (Ch == '"' || Ch == '\\')
-      OS << '\\' << Ch;
-    else if (static_cast<unsigned char>(Ch) < 0x20)
-      OS << "\\u00" << "0123456789abcdef"[(Ch >> 4) & 0xF]
-         << "0123456789abcdef"[Ch & 0xF];
-    else
-      OS << Ch;
-  }
-  OS << '"';
-}
-
-} // namespace
-
 std::string MetricsSnapshot::toJson() const {
   std::ostringstream OS;
   OS << "{\"dlf_metrics\":1,\"counters\":{";
@@ -362,7 +346,7 @@ std::string MetricsSnapshot::toJson() const {
     if (!First)
       OS << ',';
     First = false;
-    jsonEscapeTo(OS, KV.first);
+    OS << '"' << jsonEscape(KV.first) << '"';
     OS << ':' << KV.second;
   }
   OS << "},\"gauges\":{";
@@ -371,7 +355,7 @@ std::string MetricsSnapshot::toJson() const {
     if (!First)
       OS << ',';
     First = false;
-    jsonEscapeTo(OS, KV.first);
+    OS << '"' << jsonEscape(KV.first) << '"';
     OS << ':' << KV.second;
   }
   OS << "},\"histograms\":{";
@@ -380,7 +364,7 @@ std::string MetricsSnapshot::toJson() const {
     if (!First)
       OS << ',';
     First = false;
-    jsonEscapeTo(OS, KV.first);
+    OS << '"' << jsonEscape(KV.first) << '"';
     OS << ":{\"count\":" << KV.second.Count << ",\"sum\":" << KV.second.Sum
        << ",\"buckets\":{";
     bool FirstB = true;

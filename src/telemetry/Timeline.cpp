@@ -6,6 +6,7 @@
 
 #include "telemetry/Timeline.h"
 
+#include "support/JsonEscape.h"
 #include "telemetry/Metrics.h"
 
 #include <chrono>
@@ -30,36 +31,6 @@ uint64_t monotonicNowNs() {
   return uint64_t(std::chrono::duration_cast<std::chrono::nanoseconds>(
                       std::chrono::steady_clock::now().time_since_epoch())
                       .count());
-}
-
-void jsonEscapeTo(std::string &Out, const std::string &S) {
-  for (char Ch : S) {
-    switch (Ch) {
-    case '"':
-      Out += "\\\"";
-      break;
-    case '\\':
-      Out += "\\\\";
-      break;
-    case '\n':
-      Out += "\\n";
-      break;
-    case '\t':
-      Out += "\\t";
-      break;
-    case '\r':
-      Out += "\\r";
-      break;
-    default:
-      if (static_cast<unsigned char>(Ch) < 0x20) {
-        char Buf[8];
-        std::snprintf(Buf, sizeof(Buf), "\\u%04x", Ch);
-        Out += Buf;
-      } else {
-        Out += Ch;
-      }
-    }
-  }
 }
 
 void appendMeta(std::string &Out, bool &First, const char *MetaName,

@@ -22,10 +22,14 @@
 //            child only, so the observer itself is never interposed)
 //
 // Per epoch (default 50 ms) the observer drains every shard, feeds the new
-// events to the dependency log, reruns the closure over the accumulated
-// log, and reports progress on stderr. stdout carries only the final
-// report, printed through the same analysis/LogBuilder.h printer as
-// dlf-analyze — equivalent cycles for the same execution, diffable by CI.
+// events to the dependency log, steps the incremental closure
+// (IncrementalIGoodlock: only the chains and cycles the epoch's new
+// dependency entries make possible are computed), and reports progress on
+// stderr. stdout carries only the final report: one full runIGoodlock over
+// the final log, printed through the same analysis/LogBuilder.h printer as
+// dlf-analyze — equivalent cycles in the same order for the same
+// execution, diffable by CI. Events are kept beyond their epoch only for
+// the --races pass, which needs the whole stream.
 //
 // Exit codes mirror dlf-analyze: 0 analysis ran; 1 usage error; 2 the ring
 // is missing/not a ring; 3 the ring carries no events.
@@ -49,6 +53,7 @@
 #include <iostream>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <cerrno>
@@ -156,13 +161,18 @@ bool writeMetricsAtomic(const std::string &Path, bool Prom,
 /// reaped here so a wedged child cannot wedge the observer's exit.
 /// \p Status (may be null) receives a snapshot, an "epoch" event, and the
 /// ring metrics once per progress epoch, from this thread only.
+/// \p AllEvents (may be null) collects every event, for the --races pass.
 void observe(ring::RingReader &Reader, pid_t ChildPid, const Options &Opts,
              ring::Assembler &Asm, analysis::IncrementalLogBuilder &Builder,
-             std::vector<analysis::TraceEvent> &AllEvents,
+             std::vector<analysis::TraceEvent> *AllEvents,
              serve::StatusSink *Status, const std::string &Target) {
   const auto Start = std::chrono::steady_clock::now();
   std::vector<ring::Record> Batch;
   std::vector<analysis::TraceEvent> Events;
+  IGoodlockOptions EpochOpts = Opts.IG;
+  EpochOpts.KeepGuardedCycles = true;
+  IncrementalIGoodlock Closure(EpochOpts);
+  size_t NumCycles = 0;
   uint64_t Epoch = 0;
   unsigned IdleMs = 0;
   // Give a writer that never appears (nobody ran with DLF_RING) a bounded
@@ -173,27 +183,27 @@ void observe(ring::RingReader &Reader, pid_t ChildPid, const Options &Opts,
 
   while (true) {
     ++Epoch;
+    const auto EpochStart = std::chrono::steady_clock::now();
     Batch.clear();
     Events.clear();
     bool Progress = Reader.drainPass(Batch);
     if (!Batch.empty()) {
       Asm.feed(Batch, Events);
       Builder.feed(Events);
-      AllEvents.insert(AllEvents.end(), Events.begin(), Events.end());
+      if (AllEvents)
+        AllEvents->insert(AllEvents->end(), Events.begin(), Events.end());
     }
 
     if (Progress) {
       IdleMs = 0;
-      // The incremental epoch analysis the ring exists for: rerun the
-      // closure over the accumulated log while the target keeps running.
-      IGoodlockOptions EpochOpts = Opts.IG;
-      EpochOpts.KeepGuardedCycles = true;
+      // The incremental epoch analysis the ring exists for: extend the
+      // closure by what this epoch's entries add while the target keeps
+      // running.
       IGoodlockStats Stats;
-      std::vector<AbstractCycle> Cycles =
-          runIGoodlock(Builder.log(), EpochOpts, &Stats);
+      NumCycles = Closure.step(Builder.log(), &Stats);
       std::cerr << "dlf-observe: epoch " << Epoch << ": +" << Batch.size()
                 << " record(s), " << Builder.eventsSeen() << " event(s), "
-                << Cycles.size() << " cycle(s), "
+                << NumCycles << " cycle(s), "
                 << Reader.stats().HeldBack << " held back\n";
       if (Status) {
         serve::CampaignStatus St;
@@ -202,7 +212,7 @@ void observe(ring::RingReader &Reader, pid_t ChildPid, const Options &Opts,
         St.Phase = "observing";
         St.Epoch = Epoch;
         St.EventsSeen = Builder.eventsSeen();
-        St.CyclesFound = static_cast<unsigned>(Cycles.size());
+        St.CyclesFound = static_cast<unsigned>(NumCycles);
         St.WallMs = std::chrono::duration<double, std::milli>(
                         std::chrono::steady_clock::now() - Start)
                         .count();
@@ -211,9 +221,18 @@ void observe(ring::RingReader &Reader, pid_t ChildPid, const Options &Opts,
         Ev.set("epoch", Epoch);
         Ev.set("records", static_cast<uint64_t>(Batch.size()));
         Ev.set("events", static_cast<uint64_t>(Builder.eventsSeen()));
-        Ev.set("cycles", static_cast<uint64_t>(Cycles.size()));
+        Ev.set("cycles", static_cast<uint64_t>(NumCycles));
         Status->publishEvent("epoch", Ev.dump());
         Status->publishMetrics(ringMetricsSnapshot(Reader, Asm));
+      }
+      if (telemetry::enabled()) {
+        telemetry::Registry &R = telemetry::Registry::global();
+        R.histogram("dlf_observe_epoch_us")
+            .observe(static_cast<uint64_t>(
+                std::chrono::duration_cast<std::chrono::microseconds>(
+                    std::chrono::steady_clock::now() - EpochStart)
+                    .count()));
+        R.counter("dlf_observe_epoch_chains_total").inc(Stats.ChainsExplored);
       }
       // Epoch-granular rewrite: the file stays complete and current at
       // every instant, so an external scraper can tail a live observation
@@ -270,7 +289,8 @@ void observe(ring::RingReader &Reader, pid_t ChildPid, const Options &Opts,
   if (!Batch.empty()) {
     Asm.feed(Batch, Events);
     Builder.feed(Events);
-    AllEvents.insert(AllEvents.end(), Events.begin(), Events.end());
+    if (AllEvents)
+      AllEvents->insert(AllEvents->end(), Events.begin(), Events.end());
   }
 
   if (ChildPid > 0 && !ChildExited)
@@ -443,8 +463,8 @@ int main(int Argc, char **Argv) {
   ring::Assembler Asm(*Reader);
   analysis::IncrementalLogBuilder Builder(&std::cerr);
   std::vector<analysis::TraceEvent> AllEvents;
-  observe(*Reader, ChildPid, Opts, Asm, Builder, AllEvents, Server.get(),
-          Target);
+  observe(*Reader, ChildPid, Opts, Asm, Builder,
+          Opts.Races ? &AllEvents : nullptr, Server.get(), Target);
 
   const ring::DrainStats &S = Reader->stats();
   std::cerr << "dlf-observe: drained " << S.Drained << " record(s) in "
@@ -452,7 +472,7 @@ int main(int Argc, char **Argv) {
             << " dropped, " << S.Torn << " torn, " << S.Corrupt
             << " corrupt, " << S.HalfWritten << " half-written\n";
 
-  if (AllEvents.empty()) {
+  if (Builder.eventsSeen() == 0) {
     std::cerr << "error: ring carries no events\n";
     return ExitNoEvents;
   }
@@ -461,7 +481,7 @@ int main(int Argc, char **Argv) {
   unsigned FinalCycles = 0;
   if (Opts.Races) {
     analysis::TraceFile Trace;
-    Trace.Events = AllEvents;
+    Trace.Events = std::move(AllEvents);
     analysis::RaceDetectorOptions ROpts;
     ROpts.Jobs = Opts.IG.AnalysisJobs;
     analysis::RaceAnalysis Result = analysis::detectRaces(Trace, ROpts);

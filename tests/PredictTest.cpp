@@ -342,16 +342,18 @@ TEST(Predict, AgreesWithIGoodlockAndPrunerOnRandomTraces) {
     for (size_t I = 0; I != R.Cycles.size(); ++I) {
       // Sound cycles never escape the iGoodlock enumeration: prediction
       // grades candidates, it cannot invent them.
-      if (R.Predictions[I].sound())
+      if (R.Predictions[I].sound()) {
         EXPECT_EQ(Enumerated.count(R.Cycles[I].toString()), 1u)
             << "seed " << Seed << " cycle " << I;
+      }
       // Prediction discharges at least what the pruner discharges: a
       // pruner-infeasible cycle must never be certified sound.
-      if (!Pruned[I].schedulable())
+      if (!Pruned[I].schedulable()) {
         EXPECT_FALSE(R.Predictions[I].sound())
             << "seed " << Seed << " cycle " << I << ": pruner says "
             << Pruned[I].label() << " but predict says "
             << R.Predictions[I].label();
+      }
       if (R.Predictions[I].sound())
         EXPECT_GT(R.Predictions[I].WitnessEvents, 0u);
       else

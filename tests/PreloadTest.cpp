@@ -456,6 +456,27 @@ TEST(PreloadRing, LaunchModeHandsTheTargetAMemfd) {
       << Observed;
 }
 
+TEST(PreloadRing, LaunchModeExportsEpochTelemetry) {
+  // Every epoch that drains records times itself and counts the chains its
+  // closure step built, into the registry --metrics-out exports.
+  const std::string Metrics = tmpPath("dlf_observe_epoch.metrics.json");
+  std::remove(Metrics.c_str());
+  ASSERT_EQ(runCommand(std::string(DLF_OBSERVE_BIN) + " --metrics-out " +
+                       Metrics + " --preload " DLF_PRELOAD_LIB
+                       " -- " DLF_RINGWORK_BIN " rwlock-abba >/dev/null "
+                       "2>&1"),
+            0);
+  std::ifstream In(Metrics);
+  std::stringstream Doc;
+  Doc << In.rdbuf();
+  EXPECT_NE(Doc.str().find("\"dlf_observe_epoch_us\""), std::string::npos)
+      << Doc.str();
+  EXPECT_NE(Doc.str().find("\"dlf_observe_epoch_chains_total\""),
+            std::string::npos)
+      << Doc.str();
+  std::remove(Metrics.c_str());
+}
+
 TEST(PreloadRing, ObserveExitCodesDistinguishFailures) {
   // 2: not a ring.
   const std::string Bogus = tmpPath("dlf_bogus.ring");

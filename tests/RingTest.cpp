@@ -367,13 +367,36 @@ TEST(Assembler, CollapsesRecursionAndAssignsDenseIds) {
   EXPECT_EQ(Out[0].K, analysis::TraceEvent::Kind::ThreadNew);
   EXPECT_EQ(Out[0].A, 1u);
   EXPECT_EQ(Out[0].Text, "main#1");
+  EXPECT_EQ(Out[0].Interned.text(), "main#1");
   EXPECT_EQ(Out[1].K, analysis::TraceEvent::Kind::LockNew);
   EXPECT_EQ(Out[1].A, 1u); // dense id, not the address
   EXPECT_EQ(Out[1].Text, "workerA+0x10#1");
+  EXPECT_EQ(Out[1].Interned.text(), "workerA+0x10#1");
   EXPECT_EQ(Out[2].K, analysis::TraceEvent::Kind::Acquire);
   EXPECT_EQ(Out[2].B, 1u);
-  EXPECT_EQ(Out[2].Text, "workerA+0x10");
+  // Acquires carry the interned site label, not a copy of the string.
+  EXPECT_EQ(Out[2].Interned.text(), "workerA+0x10");
+  EXPECT_TRUE(Out[2].Text.empty());
   EXPECT_EQ(Out[3].K, analysis::TraceEvent::Kind::Release);
+}
+
+TEST(Assembler, AcquireOfUnannouncedThreadKeepsItsSiteText) {
+  // The log builder skips an acquire by a thread no ThreadNew introduced
+  // without interning its site; the assembler must not intern it either,
+  // or later labels would get different raw ids than the text path's.
+  AssemblerFixture F("ring_asm_unannounced.ring");
+  ASSERT_TRUE(F.R);
+  Assembler Asm(*F.R);
+  std::vector<Record> In = {
+      F.rec(RecordKind::Acquire, 7, 0x1000, F.SiteB),
+  };
+  std::vector<analysis::TraceEvent> Out;
+  Asm.feed(In, Out);
+
+  ASSERT_EQ(Out.size(), 2u);
+  EXPECT_EQ(Out[1].K, analysis::TraceEvent::Kind::Acquire);
+  EXPECT_EQ(Out[1].Text, "workerB+0x20");
+  EXPECT_FALSE(Out[1].Interned.isValid());
 }
 
 TEST(Assembler, ResolvesRwlockUnlockSides) {
@@ -392,8 +415,10 @@ TEST(Assembler, ResolvesRwlockUnlockSides) {
 
   ASSERT_EQ(Out.size(), 6u);
   EXPECT_EQ(Out[2].K, analysis::TraceEvent::Kind::SharedAcquire);
+  EXPECT_EQ(Out[2].Interned.text(), "workerA+0x10");
   EXPECT_EQ(Out[3].K, analysis::TraceEvent::Kind::SharedRelease);
   EXPECT_EQ(Out[4].K, analysis::TraceEvent::Kind::Acquire);
+  EXPECT_EQ(Out[4].Interned.text(), "workerB+0x20");
   EXPECT_EQ(Out[5].K, analysis::TraceEvent::Kind::Release);
 }
 

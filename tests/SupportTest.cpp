@@ -1,10 +1,12 @@
 //===- tests/SupportTest.cpp - support/ unit tests --------------------------===//
 
 #include "support/Env.h"
+#include "support/JsonEscape.h"
 #include "support/Rng.h"
 #include "support/Table.h"
 
 #include "event/Label.h"
+#include "telemetry/Metrics.h"
 
 #include <gtest/gtest.h>
 
@@ -148,6 +150,29 @@ TEST(Env, BoolSpellings) {
   EXPECT_TRUE(envBool("DLF_TEST_ENV", true));
   EXPECT_FALSE(envBool("DLF_TEST_ENV", false));
   unsetenv("DLF_TEST_ENV");
+}
+
+// -- JsonEscape --------------------------------------------------------------
+
+TEST(JsonEscape, ShortEscapesAndControlCharacters) {
+  EXPECT_EQ(jsonEscape("plain name_1"), "plain name_1");
+  EXPECT_EQ(jsonEscape("a\"b\\c"), "a\\\"b\\\\c");
+  // Newline, carriage return and tab get their short forms, not \u00XX.
+  EXPECT_EQ(jsonEscape("x\ny\rz\tw"), "x\\ny\\rz\\tw");
+  EXPECT_EQ(jsonEscape(std::string("\x01\x1f\x00", 3)),
+            "\\u0001\\u001f\\u0000");
+  // Bytes at or above 0x20, UTF-8 included, pass through.
+  EXPECT_EQ(jsonEscape("caf\xc3\xa9 ~\x7f"), "caf\xc3\xa9 ~\x7f");
+  std::string Out = "{";
+  jsonEscapeTo(Out, "k\n");
+  EXPECT_EQ(Out, "{k\\n");
+}
+
+TEST(JsonEscape, MetricsExportUsesTheSharedForm) {
+  telemetry::MetricsSnapshot Snap;
+  Snap.Counters["odd\nname"] = 1;
+  EXPECT_NE(Snap.toJson().find("\"odd\\nname\":1"), std::string::npos)
+      << Snap.toJson();
 }
 
 // -- Table -------------------------------------------------------------------
