@@ -6,7 +6,8 @@
 # (the gate every change must hold, built with -Werror so a new -Wextra
 # warning fails CI), plus end-to-end workload smokes
 # including the --phase1 predict engine (sound cycles certified, guarded
-# ones skipped). Tier 2: the same suite under ASan+UBSan
+# ones skipped) and the preload's Phase II (a traced ABBA cycle confirmed
+# through DLF_PRELOAD_CYCLE; a malformed spec refused). Tier 2: the same suite under ASan+UBSan
 # (DLF_SANITIZE=address), which is how the sandbox/journal/pool code gets
 # its memory-error coverage. Tier 2b: the runtime and scheduler suites under
 # ThreadSanitizer (DLF_SANITIZE=thread) — the code that juggles real
@@ -67,6 +68,36 @@ build/src/dlf-run condvar-hybrid --campaign --phase1 predict --reps 3 \
 build/src/dlf-run guarded --campaign --phase1 predict --reps 3 \
   --journal "$PREDICTDIR/guarded.jsonl" | grep -q 'reps executed 0'
 rm -rf "$PREDICTDIR"
+# Preload Phase II end to end: trace the unmodified ABBA fixture, hand
+# dlf-analyze's cycle-spec back through DLF_PRELOAD_CYCLE, and expect the
+# witness line plus exit 42 within 5 attempts (a pause can expire, the
+# thrash analogue). A malformed spec must be refused at startup (exit 2).
+PRELOADDIR="$(mktemp -d)"
+LD_PRELOAD=build/src/libdlf_preload.so \
+  DLF_PRELOAD_TRACE="$PRELOADDIR/abba.trace" build/tests/preload_abba >/dev/null
+SPEC="$(build/src/dlf-analyze "$PRELOADDIR/abba.trace" |
+  sed -n 's/^cycle-spec: //p')"
+[ -n "$SPEC" ] || { echo "dlf-analyze printed no cycle-spec"; exit 1; }
+CONFIRMED=0
+for ATTEMPT in 1 2 3 4 5; do
+  RC=0
+  LD_PRELOAD=build/src/libdlf_preload.so DLF_PRELOAD_CYCLE="$SPEC" \
+    build/tests/preload_abba >/dev/null 2>"$PRELOADDIR/stderr" || RC=$?
+  if [ "$RC" -eq 42 ] &&
+     grep -q '^DLF-PRELOAD: real deadlock cycle: \[thread' \
+       "$PRELOADDIR/stderr"; then
+    CONFIRMED=1
+    break
+  fi
+done
+[ "$CONFIRMED" -eq 1 ] ||
+  { echo "preload Phase II did not confirm the ABBA deadlock"; exit 1; }
+RC=0
+LD_PRELOAD=build/src/libdlf_preload.so DLF_PRELOAD_CYCLE='not-a-spec' \
+  build/tests/preload_abba >/dev/null 2>&1 || RC=$?
+[ "$RC" -eq 2 ] ||
+  { echo "malformed DLF_PRELOAD_CYCLE exited $RC, expected 2"; exit 1; }
+rm -rf "$PRELOADDIR"
 
 echo "== tier 2: ASan+UBSan build + full test suite =="
 cmake -B build-asan -S . -DDLF_SANITIZE=address >/dev/null

@@ -6,6 +6,8 @@
 
 #include "analysis/LogBuilder.h"
 
+#include "interpose/CycleSpecText.h"
+
 #include <ostream>
 
 namespace dlf {
@@ -153,6 +155,18 @@ void IncrementalLogBuilder::feedOne(const TraceEvent &E) {
   }
 }
 
+std::string cycleSpecText(const AbstractCycle &Cycle) {
+  std::vector<interpose::CycleSpecComponent> Spec;
+  for (const CycleComponent &Comp : Cycle.Components) {
+    interpose::CycleSpecComponent &Out = Spec.emplace_back();
+    Out.ThreadAbs = Comp.ThreadName;
+    Out.LockAbs = Comp.LockName;
+    for (Label Site : Comp.Context)
+      Out.Context.push_back(Site.text());
+  }
+  return interpose::formatCycleSpec(Spec);
+}
+
 void printCycleReport(std::ostream &OS, const char *Tool,
                       const LockDependencyLog &Log,
                       const std::vector<AbstractCycle> &Cycles,
@@ -176,19 +190,7 @@ void printCycleReport(std::ostream &OS, const char *Tool,
     const AbstractCycle &Cycle = Cycles[I];
     OS << "#" << I << " " << Cycle.toString();
     OS << "classification: " << Classes[I].label() << "\n";
-    OS << "cycle-spec: ";
-    for (size_t C = 0; C != Cycle.Components.size(); ++C) {
-      const CycleComponent &Comp = Cycle.Components[C];
-      if (C)
-        OS << ';';
-      OS << Comp.ThreadName << '|' << Comp.LockName << '|';
-      for (size_t S = 0; S != Comp.Context.size(); ++S) {
-        if (S)
-          OS << ',';
-        OS << Comp.Context[S].text();
-      }
-    }
-    OS << "\n\n";
+    OS << "cycle-spec: " << cycleSpecText(Cycle) << "\n\n";
   }
 }
 

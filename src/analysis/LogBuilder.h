@@ -35,6 +35,7 @@
 #include "runtime/Records.h"
 
 #include <iosfwd>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -72,6 +73,10 @@ private:
   std::unordered_map<uint64_t, VectorClock> CondNotify;
   uint64_t EventNo = 0;
 };
+
+/// \p Cycle in the DLF_PRELOAD_CYCLE grammar (interpose/CycleSpecText.h),
+/// as printed on each report's `cycle-spec:` line.
+std::string cycleSpecText(const AbstractCycle &Cycle);
 
 /// Prints the deadlock-cycle report (summary lines, then one block per
 /// cycle with classification and machine-readable cycle-spec) in the

@@ -880,19 +880,7 @@ void printPredictReport(std::ostream &OS, const char *Tool,
     const AbstractCycle &Cycle = R.Cycles[I];
     OS << "#" << I << " " << Cycle.toString();
     OS << "prediction: " << R.Predictions[I].label() << "\n";
-    OS << "cycle-spec: ";
-    for (size_t C = 0; C != Cycle.Components.size(); ++C) {
-      const CycleComponent &Comp = Cycle.Components[C];
-      if (C)
-        OS << ';';
-      OS << Comp.ThreadName << '|' << Comp.LockName << '|';
-      for (size_t S = 0; S != Comp.Context.size(); ++S) {
-        if (S)
-          OS << ',';
-        OS << Comp.Context[S].text();
-      }
-    }
-    OS << "\n\n";
+    OS << "cycle-spec: " << cycleSpecText(Cycle) << "\n\n";
   }
 }
 

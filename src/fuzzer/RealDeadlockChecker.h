@@ -18,6 +18,7 @@
 #ifndef DLF_FUZZER_REALDEADLOCKCHECKER_H
 #define DLF_FUZZER_REALDEADLOCKCHECKER_H
 
+#include "fuzzer/WaitForCycle.h"
 #include "runtime/Records.h"
 #include "runtime/Result.h"
 
@@ -28,17 +29,15 @@
 namespace dlf {
 
 /// One thread's view for the check: the record (for names/abstractions in
-/// the witness) and the lock stack to use — usually &T->LockStack, but the
+/// the witness), the lock stack to use — usually &T->LockStack, but the
 /// scheduler substitutes a tentative stack for the thread whose acquire is
-/// being committed.
-struct ThreadStackView {
-  const ThreadRecord *Thread;
-  const std::vector<LockStackEntry> *Stack;
-};
+/// being committed — and an optional pending tail (a paused thread's
+/// committed acquire, or a notified waiter's reacquire).
+using ThreadStackView = WaitForView<LockStackEntry, ThreadRecord>;
 
-/// Runs Algorithm 4 over \p Views. Returns a witness describing one cycle
-/// (edges ordered so that edge i's wait lock is held by edge i+1's thread,
-/// cyclically), or std::nullopt when no cycle exists.
+/// Runs Algorithm 4 (findWaitForCycle) over \p Views. Returns a witness
+/// describing one cycle (edges ordered so that edge i's wait lock is held
+/// by edge i+1's thread, cyclically), or std::nullopt when no cycle exists.
 ///
 /// Lock names/abstractions for the witness are looked up through
 /// \p LockById since the checker has no registry of its own.

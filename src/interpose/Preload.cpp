@@ -31,10 +31,17 @@
 //
 // This file is deliberately self-contained (no dependency on libdlf): a
 // preload library must not drag in anything that might initialize before
-// the dynamic linker is ready.
+// the dynamic linker is ready. It may use the standard-library-only headers
+// event/Ids.h (LockId, LockMode, lockModesConflict), fuzzer/WaitForCycle.h
+// (Algorithm 4, the same search the managed scheduler runs),
+// interpose/CycleSpecText.h (the cycle-spec grammar dlf-analyze prints),
+// interpose/TraceFormat.h and support/Env.h; and the ring and telemetry
+// sources compiled into the library (see src/CMakeLists.txt).
 //
 //===----------------------------------------------------------------------===//
 
+#include "fuzzer/WaitForCycle.h"
+#include "interpose/CycleSpecText.h"
 #include "interpose/TraceFormat.h"
 // The ring transport is standard-library + POSIX only; Ring.cpp is compiled
 // directly into libdlf_preload.so (see src/CMakeLists.txt), so the
@@ -58,6 +65,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <type_traits>
 #include <unordered_map>
 #include <vector>
 
@@ -165,11 +173,11 @@ std::string resolveSite(void *Address) {
 constexpr unsigned MaxStackDepth = 64;
 
 struct HeldEntry {
-  uint64_t LockId;
+  dlf::LockId Lock;
   std::string AcqSite;
-  /// True for the read side of a rwlock: a shared hold only conflicts
+  /// Shared for the read side of a rwlock: a shared hold only conflicts
   /// with exclusive waiters.
-  bool Shared = false;
+  dlf::LockMode Mode = dlf::LockMode::Exclusive;
 };
 
 struct ThreadSlot {
@@ -177,11 +185,9 @@ struct ThreadSlot {
   std::string Abs; ///< "<site>#<n>"
   bool Live = false;
   std::vector<HeldEntry> Stack;
-  /// Lock this thread is blocked on / paused before; 0 when none.
-  uint64_t PendingLock = 0;
-  std::string PendingSite;
-  /// True when the pending acquire is a rwlock read-side one.
-  bool PendingShared = false;
+  /// Acquire this thread is blocked on / paused before; Lock is invalid
+  /// when none.
+  HeldEntry Pending;
 };
 
 struct LockInfo {
@@ -191,12 +197,6 @@ struct LockInfo {
   unsigned Recursion = 0;
   /// Read-side holders (rwlocks only; empty for mutexes).
   std::vector<uint64_t> ReaderTids;
-};
-
-struct CycleComponentSpec {
-  std::string ThreadAbs;
-  std::string LockAbs;
-  std::vector<std::string> Context;
 };
 
 struct ObjectInfo {
@@ -215,17 +215,16 @@ struct GlobalState {
   /// Ring with neither text trace nor Phase II cycle: the hot path takes
   /// no lock and resolves no site — one ring write per event.
   bool RingOnly = false;
-  std::vector<CycleComponentSpec> Cycle;
+  std::vector<dlf::interpose::CycleSpecComponent> Cycle;
   unsigned PauseMs = 200;
 
   uint64_t NextTid = 1;
   uint64_t NextLockId = 1;
   uint64_t NextObjectId = 1;
   uint64_t NextCondId = 1;
-  std::unordered_map<pthread_mutex_t *, LockInfo> Locks;
-  /// Rwlocks share the id space (NextLockId) and LockInfo shape with
-  /// mutexes; only the keying pointer type differs.
-  std::unordered_map<pthread_rwlock_t *, LockInfo> RwLocks;
+  /// Mutexes and rwlocks, keyed by address in one id space (NextLockId),
+  /// as the ring observer's mirror of this registry keys them.
+  std::unordered_map<const void *, LockInfo> Locks;
   std::unordered_map<pthread_cond_t *, uint64_t> Conds;
   std::unordered_map<const void *, ObjectInfo> Objects;
   std::vector<ThreadSlot *> Threads;
@@ -370,37 +369,20 @@ ThreadSlot *selfSlot() {
   return Slot;
 }
 
-LockInfo &lockInfoLocked(pthread_mutex_t *M, const std::string &Site) {
-  auto It = State->Locks.find(M);
+LockInfo &lockInfoLocked(const void *Lock, const std::string &Site) {
+  auto It = State->Locks.find(Lock);
   if (It != State->Locks.end())
     return It->second;
   LockInfo Info;
   Info.Id = State->NextLockId++;
   Info.Abs = bumpSite(*State, Site);
-  auto [NewIt, Inserted] = State->Locks.emplace(M, std::move(Info));
+  auto [NewIt, Inserted] = State->Locks.emplace(Lock, std::move(Info));
   if (State->Trace)
     fprintf(State->Trace, "M %" PRIu64 " %s\n", NewIt->second.Id,
             NewIt->second.Abs.c_str());
   if (State->Ring)
     ringEmit(dlf::ring::RecordKind::LockSeen, 0,
-             reinterpret_cast<uintptr_t>(M), ringInternString(Site));
-  return NewIt->second;
-}
-
-LockInfo &rwlockInfoLocked(pthread_rwlock_t *RW, const std::string &Site) {
-  auto It = State->RwLocks.find(RW);
-  if (It != State->RwLocks.end())
-    return It->second;
-  LockInfo Info;
-  Info.Id = State->NextLockId++;
-  Info.Abs = bumpSite(*State, Site);
-  auto [NewIt, Inserted] = State->RwLocks.emplace(RW, std::move(Info));
-  if (State->Trace)
-    fprintf(State->Trace, "M %" PRIu64 " %s\n", NewIt->second.Id,
-            NewIt->second.Abs.c_str());
-  if (State->Ring)
-    ringEmit(dlf::ring::RecordKind::LockSeen, 0,
-             reinterpret_cast<uintptr_t>(RW), ringInternString(Site));
+             reinterpret_cast<uintptr_t>(Lock), ringInternString(Site));
   return NewIt->second;
 }
 
@@ -421,7 +403,7 @@ uint64_t condIdLocked(pthread_cond_t *C) {
 
 bool matchesComponent(const ThreadSlot &T, const LockInfo &L,
                       const std::string &PendingSite) {
-  for (const CycleComponentSpec &C : State->Cycle) {
+  for (const dlf::interpose::CycleSpecComponent &C : State->Cycle) {
     if (C.ThreadAbs != T.Abs || C.LockAbs != L.Abs)
       continue;
     if (C.Context.size() != T.Stack.size() + 1)
@@ -435,134 +417,25 @@ bool matchesComponent(const ThreadSlot &T, const LockInfo &L,
   return false;
 }
 
-/// Do a wait in \p WantShared mode and a hold in \p HeldShared mode
-/// conflict? Only read-read pairs coexist.
-bool modesConflict(bool WantShared, bool HeldShared) {
-  return !(WantShared && HeldShared);
-}
-
-/// Algorithm 4 over the global registry: looks for a wait-for cycle among
-/// held stacks + pending locks. Caller holds the state lock. Positions
-/// carry the hold/wait mode so a shared hold never blocks a shared wait.
+/// Algorithm 4 (fuzzer/WaitForCycle.h) over the global registry: every
+/// live thread's held stack plus its pending entry, the counterpart of the
+/// scheduler's paused-thread extension. Caller holds the state lock.
 bool findDeadlockLocked(std::string &Witness) {
-  // Build per-thread ordered lock lists: held locks then the pending one.
-  struct View {
-    const ThreadSlot *T;
-    std::vector<uint64_t> Locks;
-    std::vector<std::string> Sites;
-    std::vector<bool> Shared;
-  };
-  std::vector<View> Views;
-  for (ThreadSlot *T : State->Threads) {
-    if (!T->Live || (T->Stack.empty() && !T->PendingLock))
-      continue;
-    View V;
-    V.T = T;
-    for (const HeldEntry &H : T->Stack) {
-      V.Locks.push_back(H.LockId);
-      V.Sites.push_back(H.AcqSite);
-      V.Shared.push_back(H.Shared);
-    }
-    if (T->PendingLock) {
-      V.Locks.push_back(T->PendingLock);
-      V.Sites.push_back(T->PendingSite);
-      V.Shared.push_back(T->PendingShared);
-    }
-    Views.push_back(std::move(V));
-  }
-
-  // Depth-first search for a cycle with distinct threads and locks.
-  struct Search {
-    const std::vector<View> &Views;
-    std::vector<bool> UsedThread;
-    std::vector<uint64_t> UsedLocks;
-    uint64_t StartLock = 0;
-    /// Mode the start thread holds StartLock in: the closing wait must
-    /// conflict with it.
-    bool StartHeldShared = false;
-    std::vector<std::pair<size_t, size_t>> Path;
-
-    explicit Search(const std::vector<View> &Views)
-        : Views(Views), UsedThread(Views.size(), false) {}
-
-    bool lockUsed(uint64_t L) const {
-      for (uint64_t U : UsedLocks)
-        if (U == L)
-          return true;
-      return false;
-    }
-
-    bool extend(uint64_t Current, bool CurrentWantShared) {
-      for (size_t V = 0; V != Views.size(); ++V) {
-        if (UsedThread[V])
-          continue;
-        const auto &Locks = Views[V].Locks;
-        for (size_t From = 0; From != Locks.size(); ++From) {
-          if (Locks[From] != Current)
-            continue;
-          // The hold must actually block the wait: a shared hold of the
-          // wanted lock is no obstacle to a shared wait.
-          if (!modesConflict(CurrentWantShared, Views[V].Shared[From]))
-            break;
-          for (size_t To = From + 1; To != Locks.size(); ++To) {
-            if (Locks[To] == StartLock) {
-              if (!modesConflict(Views[V].Shared[To], StartHeldShared))
-                continue;
-              Path.push_back({V, To});
-              return true;
-            }
-            if (lockUsed(Locks[To]))
-              continue;
-            UsedThread[V] = true;
-            UsedLocks.push_back(Locks[To]);
-            Path.push_back({V, To});
-            if (extend(Locks[To], Views[V].Shared[To]))
-              return true;
-            Path.pop_back();
-            UsedLocks.pop_back();
-            UsedThread[V] = false;
-          }
-          break;
-        }
-      }
-      return false;
-    }
-
-    bool run() {
-      for (size_t V = 0; V != Views.size(); ++V) {
-        const auto &Locks = Views[V].Locks;
-        for (size_t From = 0; From != Locks.size(); ++From) {
-          for (size_t To = From + 1; To != Locks.size(); ++To) {
-            std::fill(UsedThread.begin(), UsedThread.end(), false);
-            UsedLocks.clear();
-            Path.clear();
-            StartLock = Locks[From];
-            StartHeldShared = Views[V].Shared[From];
-            UsedThread[V] = true;
-            UsedLocks.push_back(StartLock);
-            UsedLocks.push_back(Locks[To]);
-            Path.push_back({V, To});
-            if (Locks[To] == StartLock)
-              continue;
-            if (extend(Locks[To], Views[V].Shared[To]))
-              return true;
-          }
-        }
-      }
-      return false;
-    }
-  };
-
-  Search S(Views);
-  if (!S.run())
+  std::vector<dlf::WaitForView<HeldEntry, ThreadSlot>> Views;
+  for (const ThreadSlot *T : State->Threads)
+    if (T->Live)
+      Views.push_back(
+          {T, &T->Stack, T->Pending.Lock.isValid() ? &T->Pending : nullptr});
+  dlf::WaitForPath Path;
+  if (!dlf::findWaitForCycle(Views, Path))
     return false;
 
   Witness = "real deadlock cycle:";
-  for (auto [V, Pos] : S.Path) {
+  for (auto [V, Pos] : Path) {
     Witness += " [thread ";
-    Witness += Views[V].T->Abs;
+    Witness += Views[V].Thread->Abs;
     Witness += " waits at ";
-    Witness += Views[V].Sites[Pos];
+    Witness += Views[V][Pos].AcqSite;
     Witness += "]";
   }
   return true;
@@ -593,42 +466,6 @@ void sleepMs(unsigned Ms) {
   nanosleep(&Ts, nullptr);
 }
 
-// -- Cycle spec parsing ----------------------------------------------------------
-
-void parseCycleSpec(const char *Spec) {
-  // "<threadAbs>|<lockAbs>|<ctx1>,<ctx2>;<component>;..."
-  std::string Text(Spec);
-  size_t Pos = 0;
-  while (Pos < Text.size()) {
-    size_t End = Text.find(';', Pos);
-    if (End == std::string::npos)
-      End = Text.size();
-    std::string Component = Text.substr(Pos, End - Pos);
-    Pos = End + 1;
-    if (Component.empty())
-      continue;
-
-    size_t Bar1 = Component.find('|');
-    size_t Bar2 = Component.find('|', Bar1 + 1);
-    if (Bar1 == std::string::npos || Bar2 == std::string::npos)
-      continue;
-    CycleComponentSpec Parsed;
-    Parsed.ThreadAbs = Component.substr(0, Bar1);
-    Parsed.LockAbs = Component.substr(Bar1 + 1, Bar2 - Bar1 - 1);
-    std::string Ctx = Component.substr(Bar2 + 1);
-    size_t CtxPos = 0;
-    while (CtxPos < Ctx.size()) {
-      size_t Comma = Ctx.find(',', CtxPos);
-      if (Comma == std::string::npos)
-        Comma = Ctx.size();
-      Parsed.Context.push_back(Ctx.substr(CtxPos, Comma - CtxPos));
-      CtxPos = Comma + 1;
-    }
-    if (!Parsed.Context.empty())
-      State->Cycle.push_back(std::move(Parsed));
-  }
-}
-
 // -- Initialization -----------------------------------------------------------------
 
 __attribute__((constructor)) void dlfPreloadInit() {
@@ -657,8 +494,17 @@ __attribute__((constructor)) void dlfPreloadInit() {
   }
   State->TraceAccesses = (State->Trace || State->Ring) &&
                          getenv(dlf::interpose::AccessEnvVar) != nullptr;
-  if (const char *Spec = getenv(dlf::interpose::CycleEnvVar))
-    parseCycleSpec(Spec);
+  if (const char *Spec = getenv(dlf::interpose::CycleEnvVar)) {
+    // A spec that parses to nothing would leave the library in pure
+    // passthrough: a clean exit indistinguishable from "no deadlock".
+    if (!dlf::interpose::parseCycleSpec(Spec, State->Cycle)) {
+      fprintf(stderr,
+              "dlf-preload: %s expects 'threadAbs|lockAbs|site,...' "
+              "components separated by ';', got '%s'\n",
+              dlf::interpose::CycleEnvVar, Spec);
+      _exit(2);
+    }
+  }
   State->RingOnly =
       State->Ring && !State->Trace && State->Cycle.empty();
   if (const char *Ms = getenv(dlf::interpose::PauseMsEnvVar)) {
@@ -689,67 +535,78 @@ __attribute__((destructor)) void dlfPreloadShutdown() {
 
 // -- Event handlers ------------------------------------------------------------------
 
-/// Algorithm 3's pause, shared by the mutex and rwlock acquire paths:
-/// register the wait-for edge, then sleep in slices watching for the cycle
-/// to physically form around us; give up after the budget (thrash /
-/// livelock-monitor analogue).
-void pauseAndWatch(ThreadSlot *T, uint64_t LockId, const std::string &Site,
-                   bool Shared) {
+/// Register \p Want as T's wait-for edge and check for a completed
+/// deadlock (the last edge may be ours) under one hold of the state lock.
+void registerBlockedAndCheck(ThreadSlot *T, const HeldEntry &Want) {
+  State->lock();
+  T->Pending = Want;
+  std::string Witness;
+  bool Found = findDeadlockLocked(Witness);
+  State->unlock();
+  if (Found)
+    reportDeadlockAndExit(Witness);
+}
+
+/// Algorithm 3's pause: register the wait-for edge, then sleep in slices
+/// watching for the cycle to physically form around us (re-registering the
+/// same entry is a no-op; it re-runs the check); give up after the budget
+/// (thrash / livelock-monitor analogue).
+void pauseAndWatch(ThreadSlot *T, const HeldEntry &Want) {
   if (dlf::telemetry::enabled()) {
     InternalGuard G;
     dlf::telemetry::Registry::global()
         .counter("dlf_preload_pauses_total")
         .inc();
   }
-  State->lock();
-  T->PendingLock = LockId;
-  T->PendingSite = Site;
-  T->PendingShared = Shared;
-  std::string Witness;
-  bool Found = findDeadlockLocked(Witness);
-  State->unlock();
-  if (Found)
-    reportDeadlockAndExit(Witness);
-
-  unsigned Waited = 0;
+  registerBlockedAndCheck(T, Want);
   const unsigned Slice = 2;
-  while (Waited < State->PauseMs) {
+  for (unsigned Waited = 0; Waited < State->PauseMs; Waited += Slice) {
     sleepMs(Slice);
-    Waited += Slice;
-    State->lock();
-    std::string SliceWitness;
-    bool SliceFound = findDeadlockLocked(SliceWitness);
-    State->unlock();
-    if (SliceFound)
-      reportDeadlockAndExit(SliceWitness);
+    registerBlockedAndCheck(T, Want);
   }
   State->lock();
-  T->PendingLock = 0;
-  T->PendingSite.clear();
-  T->PendingShared = false;
+  T->Pending = HeldEntry();
   State->unlock();
 }
 
-/// Register a blocking wait-for edge and check for a completed deadlock
-/// (the last edge is ours) right before blocking for real.
-void registerBlockedAndCheck(ThreadSlot *T, uint64_t LockId,
-                             const std::string &Site, bool Shared) {
-  std::string Witness;
-  bool Found = false;
-  {
-    State->lock();
-    T->PendingLock = LockId;
-    T->PendingSite = Site;
-    T->PendingShared = Shared;
-    Found = findDeadlockLocked(Witness);
-    State->unlock();
+/// Mutexes may be recursive: the owner re-locking only bumps the count and
+/// stays invisible to the analysis (footnote 2). Rwlocks are not.
+template <typename LockT>
+constexpr bool IsRecursive = std::is_same_v<LockT, pthread_mutex_t>;
+
+/// Commits an acquire of \p Lock to the model: ownership (owner and count
+/// for an exclusive hold, the reader list for a shared one), the A or Q
+/// trace line, the ring record and the held-stack push. Caller holds the
+/// state lock.
+void commitAcquireLocked(ThreadSlot *T, const void *Lock, LockInfo &L,
+                         const std::string &Site, dlf::LockMode Mode) {
+  bool Shared = Mode == dlf::LockMode::Shared;
+  if (Shared) {
+    L.ReaderTids.push_back(T->Tid);
+  } else {
+    L.OwnerTid = T->Tid;
+    L.Recursion = 1;
   }
-  if (Found)
-    reportDeadlockAndExit(Witness);
+  if (State->Trace)
+    fprintf(State->Trace, "%c %" PRIu64 " %" PRIu64 " %s\n",
+            Shared ? 'Q' : 'A', T->Tid, L.Id, Site.c_str());
+  if (State->Ring)
+    ringEmit(Shared ? dlf::ring::RecordKind::SharedAcquire
+                    : dlf::ring::RecordKind::Acquire,
+             T->Tid, reinterpret_cast<uintptr_t>(Lock),
+             ringInternString(Site));
+  T->Stack.push_back({dlf::LockId(L.Id), Site, Mode});
 }
 
-/// Core acquire protocol shared by lock and cond_wait re-acquire.
-int acquireWithAnalysis(pthread_mutex_t *M, void *CallerAddr) {
+/// Acquire protocol shared by pthread_mutex_lock and both rwlock sides:
+/// pause before a cycle-component acquire, then try the real acquire; if
+/// it would block, register the wait-for edge and check for a completed
+/// deadlock (the last edge is ours) before blocking for real. \p Mode
+/// threads the rwlock side through so the search applies read-read
+/// non-exclusion.
+template <typename LockT, typename TryFn, typename BlockFn>
+int acquireWithAnalysis(LockT *Lock, dlf::LockMode Mode, void *CallerAddr,
+                        TryFn RealTry, BlockFn RealBlock) {
   ThreadSlot *T = selfSlot();
   std::string Site = resolveSite(CallerAddr);
   if (dlf::telemetry::enabled()) {
@@ -761,12 +618,12 @@ int acquireWithAnalysis(pthread_mutex_t *M, void *CallerAddr) {
 
   bool Reentrant = false;
   bool ShouldPause = false;
-  uint64_t LockId = 0;
+  HeldEntry Want{dlf::LockId(), Site, Mode};
   {
     State->lock();
-    LockInfo &L = lockInfoLocked(M, Site);
-    LockId = L.Id;
-    if (L.OwnerTid == T->Tid) {
+    LockInfo &L = lockInfoLocked(Lock, Site);
+    Want.Lock = dlf::LockId(L.Id);
+    if (IsRecursive<LockT> && L.OwnerTid == T->Tid) {
       ++L.Recursion;
       Reentrant = true; // invisible to the analysis (footnote 2)
     } else if (!State->Cycle.empty()) {
@@ -775,104 +632,60 @@ int acquireWithAnalysis(pthread_mutex_t *M, void *CallerAddr) {
     State->unlock();
   }
   if (Reentrant)
-    return RealLock(M);
+    return RealBlock();
 
   if (ShouldPause)
-    pauseAndWatch(T, LockId, Site, /*Shared=*/false);
+    pauseAndWatch(T, Want);
 
-  // Execute the acquire: try fast, else register the wait-for edge, check
-  // for a completed deadlock (the last edge is ours), then block for real.
-  if (RealTrylock(M) != 0) {
-    registerBlockedAndCheck(T, LockId, Site, /*Shared=*/false);
-    int Rc = RealLock(M);
-    if (Rc != 0) {
-      State->lock();
-      T->PendingLock = 0;
-      T->PendingShared = false;
-      State->unlock();
-      return Rc;
-    }
+  int Rc = 0;
+  if (RealTry() != 0) {
+    registerBlockedAndCheck(T, Want);
+    Rc = RealBlock();
   }
 
   State->lock();
-  LockInfo &L = lockInfoLocked(M, Site);
-  L.OwnerTid = T->Tid;
-  L.Recursion = 1;
-  T->PendingLock = 0;
-  T->PendingSite.clear();
-  T->PendingShared = false;
-  if (State->Trace)
-    fprintf(State->Trace, "A %" PRIu64 " %" PRIu64 " %s\n", T->Tid, L.Id,
-            Site.c_str());
-  if (State->Ring)
-    ringEmit(dlf::ring::RecordKind::Acquire, T->Tid,
-             reinterpret_cast<uintptr_t>(M), ringInternString(Site));
-  T->Stack.push_back({L.Id, Site});
+  T->Pending = HeldEntry();
+  if (Rc == 0)
+    commitAcquireLocked(T, Lock, lockInfoLocked(Lock, Site), Site, Mode);
   State->unlock();
-  return 0;
+  return Rc;
 }
 
-/// Acquire protocol for the rwlock sides: same pause/edge/deadlock-check
-/// shape as the mutex path, with the shared flag threaded through so the
-/// wait-for search applies read-read non-exclusion.
-int rwAcquireWithAnalysis(pthread_rwlock_t *RW, bool Shared,
-                          void *CallerAddr) {
+/// Model side of a trylock whose real call returned \p Rc. A failed probe
+/// is a P line only: the thread asked and bailed out without blocking, so
+/// it gets no wait-for edge and no pending registration. A success is an
+/// acquire without the pause (or a recursive mutex's count bump).
+template <typename LockT>
+int tryAcquireWithAnalysis(LockT *Lock, dlf::LockMode Mode, int Rc,
+                           void *CallerAddr) {
   ThreadSlot *T = selfSlot();
   std::string Site = resolveSite(CallerAddr);
-  if (dlf::telemetry::enabled()) {
-    InternalGuard G;
-    dlf::telemetry::Registry::global()
-        .counter("dlf_preload_acquires_total")
-        .inc();
+  State->lock();
+  LockInfo &L = lockInfoLocked(Lock, Site);
+  if (Rc != 0) {
+    if (State->Trace)
+      fprintf(State->Trace, "P %" PRIu64 " %" PRIu64 " %s\n", T->Tid, L.Id,
+              Site.c_str());
+    if (State->Ring)
+      ringEmit(dlf::ring::RecordKind::TryProbe, T->Tid,
+               reinterpret_cast<uintptr_t>(Lock), ringInternString(Site));
+  } else if (IsRecursive<LockT> && L.OwnerTid == T->Tid) {
+    ++L.Recursion;
+  } else {
+    commitAcquireLocked(T, Lock, L, Site, Mode);
   }
+  State->unlock();
+  return Rc;
+}
 
-  bool ShouldPause = false;
-  uint64_t LockId = 0;
-  {
-    State->lock();
-    LockInfo &L = rwlockInfoLocked(RW, Site);
-    LockId = L.Id;
-    if (!State->Cycle.empty())
-      ShouldPause = matchesComponent(*T, L, Site);
-    State->unlock();
-  }
-
-  if (ShouldPause)
-    pauseAndWatch(T, LockId, Site, Shared);
-
-  if ((Shared ? RealTryRdlock(RW) : RealTryWrlock(RW)) != 0) {
-    registerBlockedAndCheck(T, LockId, Site, Shared);
-    int Rc = Shared ? RealRdlock(RW) : RealWrlock(RW);
-    if (Rc != 0) {
-      State->lock();
-      T->PendingLock = 0;
-      T->PendingShared = false;
-      State->unlock();
-      return Rc;
+/// Drops the innermost hold of \p LockId from T's held stack.
+void popHeldLocked(ThreadSlot *T, uint64_t LockId) {
+  for (size_t I = T->Stack.size(); I-- > 0;) {
+    if (T->Stack[I].Lock.Raw == LockId) {
+      T->Stack.erase(T->Stack.begin() + static_cast<long>(I));
+      return;
     }
   }
-
-  State->lock();
-  LockInfo &L = rwlockInfoLocked(RW, Site);
-  if (Shared)
-    L.ReaderTids.push_back(T->Tid);
-  else {
-    L.OwnerTid = T->Tid;
-    L.Recursion = 1;
-  }
-  T->PendingLock = 0;
-  T->PendingSite.clear();
-  T->PendingShared = false;
-  if (State->Trace)
-    fprintf(State->Trace, "%c %" PRIu64 " %" PRIu64 " %s\n",
-            Shared ? 'Q' : 'A', T->Tid, L.Id, Site.c_str());
-  if (State->Ring)
-    ringEmit(Shared ? dlf::ring::RecordKind::SharedAcquire
-                    : dlf::ring::RecordKind::Acquire,
-             T->Tid, reinterpret_cast<uintptr_t>(RW), ringInternString(Site));
-  T->Stack.push_back({L.Id, Site, Shared});
-  State->unlock();
-  return 0;
 }
 
 /// Model-side release for one rwlock side; emits the matching R/U line.
@@ -881,8 +694,8 @@ int rwAcquireWithAnalysis(pthread_rwlock_t *RW, bool Shared,
 void rwReleaseWithAnalysis(pthread_rwlock_t *RW) {
   ThreadSlot *T = selfSlot();
   State->lock();
-  auto It = State->RwLocks.find(RW);
-  if (It == State->RwLocks.end()) {
+  auto It = State->Locks.find(RW);
+  if (It == State->Locks.end()) {
     State->unlock();
     return; // never observed the acquire (pre-init lock) — pass through
   }
@@ -901,12 +714,7 @@ void rwReleaseWithAnalysis(pthread_rwlock_t *RW) {
     Shared = true;
     L.ReaderTids.erase(Rd);
   }
-  for (size_t I = T->Stack.size(); I-- > 0;) {
-    if (T->Stack[I].LockId == L.Id) {
-      T->Stack.erase(T->Stack.begin() + static_cast<long>(I));
-      break;
-    }
-  }
+  popHeldLocked(T, L.Id);
   if (State->Trace)
     fprintf(State->Trace, "%c %" PRIu64 " %" PRIu64 "\n", Shared ? 'U' : 'R',
             T->Tid, L.Id);
@@ -938,12 +746,7 @@ void releaseWithAnalysis(pthread_mutex_t *M, bool &Reentrant) {
   Reentrant = false;
   L.OwnerTid = 0;
   L.Recursion = 0;
-  for (size_t I = T->Stack.size(); I-- > 0;) {
-    if (T->Stack[I].LockId == L.Id) {
-      T->Stack.erase(T->Stack.begin() + static_cast<long>(I));
-      break;
-    }
-  }
+  popHeldLocked(T, L.Id);
   if (State->Trace)
     fprintf(State->Trace, "R %" PRIu64 " %" PRIu64 "\n", T->Tid, L.Id);
   if (State->Ring)
@@ -980,18 +783,9 @@ int condWaitWithAnalysis(pthread_cond_t *Cond, pthread_mutex_t *M,
       ringEmit(dlf::ring::RecordKind::CondWake, T->Tid,
                reinterpret_cast<uintptr_t>(Cond), 0);
   }
-  if (!Reentrant) {
-    LockInfo &L = lockInfoLocked(M, Site);
-    L.OwnerTid = T->Tid;
-    L.Recursion = 1;
-    if (State->Trace)
-      fprintf(State->Trace, "A %" PRIu64 " %" PRIu64 " %s\n", T->Tid, L.Id,
-              Site.c_str());
-    if (State->Ring)
-      ringEmit(dlf::ring::RecordKind::Acquire, T->Tid,
-               reinterpret_cast<uintptr_t>(M), ringInternString(Site));
-    T->Stack.push_back({L.Id, Site});
-  }
+  if (!Reentrant)
+    commitAcquireLocked(T, M, lockInfoLocked(M, Site), Site,
+                        dlf::LockMode::Exclusive);
   State->unlock();
   return Rc;
 }
@@ -1023,8 +817,7 @@ void *threadTrampoline(void *Raw) {
   State->lock();
   Slot->Live = false;
   Slot->Stack.clear();
-  Slot->PendingLock = 0;
-  Slot->PendingShared = false;
+  Slot->Pending = HeldEntry();
   State->unlock();
   if (State->Ring && RingShardClaimed) {
     // Return the shard to the pool so later threads reuse it instead of
@@ -1106,7 +899,9 @@ int pthread_mutex_lock(pthread_mutex_t *M) {
   }
   if (analysisOff())
     return RealLock(M); // neither phase requested: pure passthrough
-  return acquireWithAnalysis(M, __builtin_return_address(0));
+  return acquireWithAnalysis(
+      M, dlf::LockMode::Exclusive, __builtin_return_address(0),
+      [M] { return RealTrylock(M); }, [M] { return RealLock(M); });
 }
 
 int pthread_mutex_trylock(pthread_mutex_t *M) {
@@ -1127,45 +922,8 @@ int pthread_mutex_trylock(pthread_mutex_t *M) {
   int Rc = RealTrylock(M);
   if (analysisOff())
     return Rc;
-  if (Rc != 0) {
-    // Failed probe: the thread asked and bailed out without blocking — no
-    // wait-for edge, no pending registration, just a P line so offline
-    // passes can see the attempt happened.
-    if (State->Trace || State->Ring) {
-      ThreadSlot *T = selfSlot();
-      std::string Site = resolveSite(__builtin_return_address(0));
-      State->lock();
-      LockInfo &L = lockInfoLocked(M, Site);
-      if (State->Trace)
-        fprintf(State->Trace, "P %" PRIu64 " %" PRIu64 " %s\n", T->Tid, L.Id,
-                Site.c_str());
-      if (State->Ring)
-        ringEmit(dlf::ring::RecordKind::TryProbe, T->Tid,
-                 reinterpret_cast<uintptr_t>(M), ringInternString(Site));
-      State->unlock();
-    }
-    return Rc;
-  }
-  // Successful trylock: record the acquire (same bookkeeping, no pause).
-  ThreadSlot *T = selfSlot();
-  std::string Site = resolveSite(__builtin_return_address(0));
-  State->lock();
-  LockInfo &L = lockInfoLocked(M, Site);
-  if (L.OwnerTid == T->Tid) {
-    ++L.Recursion;
-  } else {
-    L.OwnerTid = T->Tid;
-    L.Recursion = 1;
-    if (State->Trace)
-      fprintf(State->Trace, "A %" PRIu64 " %" PRIu64 " %s\n", T->Tid, L.Id,
-              Site.c_str());
-    if (State->Ring)
-      ringEmit(dlf::ring::RecordKind::Acquire, T->Tid,
-               reinterpret_cast<uintptr_t>(M), ringInternString(Site));
-    T->Stack.push_back({L.Id, Site});
-  }
-  State->unlock();
-  return 0;
+  return tryAcquireWithAnalysis(M, dlf::LockMode::Exclusive, Rc,
+                                __builtin_return_address(0));
 }
 
 int pthread_mutex_unlock(pthread_mutex_t *M) {
@@ -1317,8 +1075,9 @@ int pthread_rwlock_rdlock(pthread_rwlock_t *RW) {
   }
   if (analysisOff())
     return RealRdlock(RW);
-  return rwAcquireWithAnalysis(RW, /*Shared=*/true,
-                               __builtin_return_address(0));
+  return acquireWithAnalysis(
+      RW, dlf::LockMode::Shared, __builtin_return_address(0),
+      [RW] { return RealTryRdlock(RW); }, [RW] { return RealRdlock(RW); });
 }
 
 int pthread_rwlock_wrlock(pthread_rwlock_t *RW) {
@@ -1341,8 +1100,9 @@ int pthread_rwlock_wrlock(pthread_rwlock_t *RW) {
   }
   if (analysisOff())
     return RealWrlock(RW);
-  return rwAcquireWithAnalysis(RW, /*Shared=*/false,
-                               __builtin_return_address(0));
+  return acquireWithAnalysis(
+      RW, dlf::LockMode::Exclusive, __builtin_return_address(0),
+      [RW] { return RealTryWrlock(RW); }, [RW] { return RealWrlock(RW); });
 }
 
 int pthread_rwlock_tryrdlock(pthread_rwlock_t *RW) {
@@ -1363,29 +1123,8 @@ int pthread_rwlock_tryrdlock(pthread_rwlock_t *RW) {
   int Rc = RealTryRdlock(RW);
   if (analysisOff())
     return Rc;
-  ThreadSlot *T = selfSlot();
-  std::string Site = resolveSite(__builtin_return_address(0));
-  State->lock();
-  LockInfo &L = rwlockInfoLocked(RW, Site);
-  if (Rc != 0) {
-    if (State->Trace)
-      fprintf(State->Trace, "P %" PRIu64 " %" PRIu64 " %s\n", T->Tid, L.Id,
-              Site.c_str());
-    if (State->Ring)
-      ringEmit(dlf::ring::RecordKind::TryProbe, T->Tid,
-               reinterpret_cast<uintptr_t>(RW), ringInternString(Site));
-  } else {
-    L.ReaderTids.push_back(T->Tid);
-    if (State->Trace)
-      fprintf(State->Trace, "Q %" PRIu64 " %" PRIu64 " %s\n", T->Tid, L.Id,
-              Site.c_str());
-    if (State->Ring)
-      ringEmit(dlf::ring::RecordKind::SharedAcquire, T->Tid,
-               reinterpret_cast<uintptr_t>(RW), ringInternString(Site));
-    T->Stack.push_back({L.Id, Site, /*Shared=*/true});
-  }
-  State->unlock();
-  return Rc;
+  return tryAcquireWithAnalysis(RW, dlf::LockMode::Shared, Rc,
+                                __builtin_return_address(0));
 }
 
 int pthread_rwlock_trywrlock(pthread_rwlock_t *RW) {
@@ -1406,30 +1145,8 @@ int pthread_rwlock_trywrlock(pthread_rwlock_t *RW) {
   int Rc = RealTryWrlock(RW);
   if (analysisOff())
     return Rc;
-  ThreadSlot *T = selfSlot();
-  std::string Site = resolveSite(__builtin_return_address(0));
-  State->lock();
-  LockInfo &L = rwlockInfoLocked(RW, Site);
-  if (Rc != 0) {
-    if (State->Trace)
-      fprintf(State->Trace, "P %" PRIu64 " %" PRIu64 " %s\n", T->Tid, L.Id,
-              Site.c_str());
-    if (State->Ring)
-      ringEmit(dlf::ring::RecordKind::TryProbe, T->Tid,
-               reinterpret_cast<uintptr_t>(RW), ringInternString(Site));
-  } else {
-    L.OwnerTid = T->Tid;
-    L.Recursion = 1;
-    if (State->Trace)
-      fprintf(State->Trace, "A %" PRIu64 " %" PRIu64 " %s\n", T->Tid, L.Id,
-              Site.c_str());
-    if (State->Ring)
-      ringEmit(dlf::ring::RecordKind::Acquire, T->Tid,
-               reinterpret_cast<uintptr_t>(RW), ringInternString(Site));
-    T->Stack.push_back({L.Id, Site, /*Shared=*/false});
-  }
-  State->unlock();
-  return Rc;
+  return tryAcquireWithAnalysis(RW, dlf::LockMode::Exclusive, Rc,
+                                __builtin_return_address(0));
 }
 
 int pthread_rwlock_unlock(pthread_rwlock_t *RW) {
@@ -1462,7 +1179,7 @@ int pthread_rwlock_destroy(pthread_rwlock_t *RW) {
                reinterpret_cast<uintptr_t>(RW), 0);
     } else {
       State->lock();
-      State->RwLocks.erase(RW);
+      State->Locks.erase(RW);
       if (State->Ring)
         ringEmit(dlf::ring::RecordKind::LockDestroy, 0,
                  reinterpret_cast<uintptr_t>(RW), 0);

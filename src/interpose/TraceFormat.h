@@ -59,7 +59,8 @@
 /// list of components, each "threadAbs|lockAbs|ctxSite1,ctxSite2,...",
 /// where the context sites are the acquire sites of the held locks plus
 /// the pending acquire, outermost first — exactly the C_i of an iGoodlock
-/// report.
+/// report. interpose/CycleSpecText.h emits and parses it; the preload
+/// library refuses a malformed spec at startup (exit 2).
 ///
 //===----------------------------------------------------------------------===//
 

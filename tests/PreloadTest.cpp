@@ -369,6 +369,16 @@ TEST(Preload, MalformedNumericInputsFailFast) {
                        " DLF_PRELOAD_PAUSE_MS=50 " DLF_ABBA_BIN
                        " >/dev/null 2>&1"),
             0);
+  // A malformed DLF_PRELOAD_CYCLE used to parse to an empty cycle and run
+  // the program in pure passthrough — a clean exit that reads as "no
+  // deadlock". Garbage, a component without context, and a set-but-empty
+  // value must all refuse to start.
+  for (const char *Spec : {"garbage", "main#1|l#1|", ""})
+    EXPECT_EQ(runCommand("LD_PRELOAD=" DLF_PRELOAD_LIB " DLF_PRELOAD_CYCLE='" +
+                         std::string(Spec) + "' " DLF_ABBA_BIN
+                         " >/dev/null 2>&1"),
+              2)
+        << "spec '" << Spec << "'";
 }
 
 /// Reduces a cycle report to its run-invariant lines: the cycle count

@@ -25,6 +25,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <memory>
 #include <set>
 
@@ -389,6 +390,126 @@ TEST_P(CheckerInvariance, ViewOrderDoesNotChangeExistence) {
   do {
     EXPECT_EQ(Exists(Order), Reference) << "seed " << GetParam();
   } while (std::next_permutation(Order.begin(), Order.end()));
+}
+
+/// Brute-force reference for Algorithm 4, independent of its search order:
+/// is there a sequence of distinct threads t1..tm (m >= 2), each with view
+/// positions p_i < q_i, such that t_i's wait entry q_i is t_(i+1)'s hold
+/// entry p_(i+1) (cyclically), the held locks at the p_i are pairwise
+/// distinct, and every wait conflicts with the hold it reaches?
+bool oracleHasCycle(const std::vector<std::vector<LockStackEntry>> &Views) {
+  std::vector<size_t> Seq;
+  std::vector<size_t> P, Q;
+  // Tries every (p_i, q_i) choice for threads Seq[I..] given the earlier ones.
+  std::function<bool(size_t)> Choose = [&](size_t I) {
+    size_t M = Seq.size();
+    if (I == M) {
+      std::set<uint64_t> Held;
+      for (size_t K = 0; K != M; ++K) {
+        const LockStackEntry &Wait = Views[Seq[K]][Q[K]];
+        const LockStackEntry &Hold = Views[Seq[(K + 1) % M]][P[(K + 1) % M]];
+        if (Wait.Lock != Hold.Lock || !lockModesConflict(Wait.Mode, Hold.Mode))
+          return false;
+        if (!Held.insert(Views[Seq[K]][P[K]].Lock.Raw).second)
+          return false;
+      }
+      return true;
+    }
+    const auto &View = Views[Seq[I]];
+    for (P[I] = 0; P[I] < View.size(); ++P[I])
+      for (Q[I] = P[I] + 1; Q[I] < View.size(); ++Q[I])
+        if (Choose(I + 1))
+          return true;
+    return false;
+  };
+  std::function<bool()> Grow = [&] {
+    if (Seq.size() >= 2) {
+      P.assign(Seq.size(), 0);
+      Q.assign(Seq.size(), 0);
+      if (Choose(0))
+        return true;
+    }
+    for (size_t T = 0; T != Views.size(); ++T) {
+      if (std::find(Seq.begin(), Seq.end(), T) != Seq.end())
+        continue;
+      Seq.push_back(T);
+      bool Found = Grow();
+      Seq.pop_back();
+      if (Found)
+        return true;
+    }
+    return false;
+  };
+  return Grow();
+}
+
+/// Random held stacks over distinct locks with random Shared/Exclusive
+/// modes; with \p Pending, each thread also gets a pending tail half the
+/// time. Checks findRealDeadlock's verdict against oracleHasCycle.
+void checkAgainstOracle(uint64_t Seed, bool Pending) {
+  Rng R(Seed * 131 + (Pending ? 17 : 3));
+  constexpr size_t Threads = 4, Locks = 5, Trials = 60;
+  std::vector<ThreadRecord> Records(Threads);
+  std::vector<LockRecord> LockRecords(Locks);
+  for (size_t I = 0; I != Threads; ++I)
+    Records[I].Id = ThreadId(I + 1);
+  for (size_t I = 0; I != Locks; ++I)
+    LockRecords[I].Id = LockId(I + 1);
+  auto RandomEntry = [&](std::set<uint64_t> &Used) {
+    uint64_t L;
+    do {
+      L = 1 + R.nextBelow(Locks);
+    } while (!Used.insert(L).second);
+    return LockStackEntry{LockId(L), Label::intern("oracle:site"),
+                          R.nextBelow(2) ? LockMode::Shared
+                                         : LockMode::Exclusive};
+  };
+
+  size_t WithCycle = 0;
+  for (size_t Trial = 0; Trial != Trials; ++Trial) {
+    std::vector<std::vector<LockStackEntry>> Held(Threads);
+    std::vector<LockStackEntry> Tails(Threads);
+    std::vector<bool> HasTail(Threads, false);
+    for (size_t T = 0; T != Threads; ++T) {
+      std::set<uint64_t> Used;
+      size_t Depth = R.nextBelow(Pending ? 4 : 5);
+      for (size_t D = 0; D != Depth; ++D)
+        Held[T].push_back(RandomEntry(Used));
+      if (Pending && R.nextBelow(2)) {
+        Tails[T] = RandomEntry(Used);
+        HasTail[T] = true;
+      }
+    }
+
+    std::vector<ThreadStackView> Views;
+    std::vector<std::vector<LockStackEntry>> Flat = Held;
+    for (size_t T = 0; T != Threads; ++T) {
+      Views.push_back({&Records[T], &Held[T], HasTail[T] ? &Tails[T] : nullptr});
+      if (HasTail[T])
+        Flat[T].push_back(Tails[T]);
+    }
+    bool Expected = oracleHasCycle(Flat);
+    WithCycle += Expected;
+    auto Witness = findRealDeadlock(Views, [&](LockId Id) -> const LockRecord & {
+      return LockRecords[Id.Raw - 1];
+    });
+    ASSERT_EQ(Witness.has_value(), Expected)
+        << "seed " << Seed << " trial " << Trial;
+    if (Witness) {
+      EXPECT_GE(Witness->Edges.size(), 2u);
+    }
+  }
+  // The sweep must exercise both verdicts to mean anything.
+  EXPECT_GT(WithCycle, 0u) << "seed " << Seed;
+  EXPECT_LT(WithCycle, Trials) << "seed " << Seed;
+}
+
+TEST_P(CheckerInvariance, RandomModesAgreeWithBruteForceOracle) {
+  checkAgainstOracle(GetParam(), /*Pending=*/false);
+}
+
+TEST_P(CheckerInvariance, RandomPendingTailsAgreeWithBruteForceOracle) {
+  checkAgainstOracle(GetParam(), /*Pending=*/true);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CheckerInvariance,

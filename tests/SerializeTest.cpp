@@ -1,7 +1,9 @@
 //===- tests/SerializeTest.cpp - Cycle report (de)serialization --------------===//
 
+#include "analysis/LogBuilder.h"
 #include "fuzzer/ActiveTester.h"
 #include "igoodlock/Serialize.h"
+#include "interpose/CycleSpecText.h"
 #include "runtime/Mutex.h"
 #include "runtime/Runtime.h"
 #include "runtime/Thread.h"
@@ -130,6 +132,59 @@ TEST(Serialize, MalformedInputsAreRejected) {
   // Empty document: fine, zero cycles.
   EXPECT_TRUE(deserializeCycles("# dlf cycles v1\n", Out, &Error));
   EXPECT_TRUE(Out.empty());
+}
+
+// -- Textual cycle specs (the cycle-spec: / DLF_PRELOAD_CYCLE grammar) -------
+
+TEST(CycleSpecText, FormatThenParseGivesBackTheComponents) {
+  using interpose::CycleSpecComponent;
+  std::vector<CycleSpecComponent> Spec = {
+      {"main#1", "worker+0x1c#2", {"run+0x10", "run+0x2c"}},
+      {"spawn+0x8#1", "pool+0x4#1", {"take+0x40"}},
+  };
+  std::string Text = interpose::formatCycleSpec(Spec);
+  EXPECT_EQ(Text, "main#1|worker+0x1c#2|run+0x10,run+0x2c;"
+                  "spawn+0x8#1|pool+0x4#1|take+0x40");
+  std::vector<CycleSpecComponent> Parsed;
+  ASSERT_TRUE(interpose::parseCycleSpec(Text, Parsed)) << Text;
+  ASSERT_EQ(Parsed.size(), Spec.size());
+  for (size_t I = 0; I != Spec.size(); ++I) {
+    EXPECT_EQ(Parsed[I].ThreadAbs, Spec[I].ThreadAbs);
+    EXPECT_EQ(Parsed[I].LockAbs, Spec[I].LockAbs);
+    EXPECT_EQ(Parsed[I].Context, Spec[I].Context);
+  }
+
+  // A Phase I report's spec line parses back to its components.
+  std::vector<AbstractCycle> Cycles = phaseOneCycles();
+  ASSERT_EQ(Cycles.size(), 1u);
+  ASSERT_TRUE(
+      interpose::parseCycleSpec(analysis::cycleSpecText(Cycles[0]), Parsed));
+  ASSERT_EQ(Parsed.size(), Cycles[0].Components.size());
+  for (size_t I = 0; I != Parsed.size(); ++I) {
+    const CycleComponent &Comp = Cycles[0].Components[I];
+    EXPECT_EQ(Parsed[I].ThreadAbs, Comp.ThreadName);
+    EXPECT_EQ(Parsed[I].LockAbs, Comp.LockName);
+    ASSERT_EQ(Parsed[I].Context.size(), Comp.Context.size());
+    for (size_t S = 0; S != Comp.Context.size(); ++S)
+      EXPECT_EQ(Parsed[I].Context[S], Comp.Context[S].text());
+  }
+}
+
+TEST(CycleSpecText, MalformedSpecsAreRejected) {
+  std::vector<interpose::CycleSpecComponent> Out;
+  for (const char *Bad : {
+           "",                 // set but empty
+           "garbage",          // no separators at all
+           "t#1|l#1",          // no context field
+           "t#1|l#1|",         // empty context
+           "t#1|l#1|a,,b",     // empty context site
+           "|l#1|a",           // empty thread abstraction
+           "t#1||a",           // empty lock abstraction
+           "t#1|l#1|a|b",      // a fourth field
+           "t#1|l#1|a;",       // trailing empty component
+           "t#1|l#1|a;;u|m|b", // empty component in the middle
+       })
+    EXPECT_FALSE(interpose::parseCycleSpec(Bad, Out)) << "'" << Bad << "'";
 }
 
 } // namespace

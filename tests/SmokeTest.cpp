@@ -10,6 +10,7 @@
 #include "runtime/Mutex.h"
 #include "runtime/Runtime.h"
 #include "runtime/Thread.h"
+#include "substrates/Stagger.h"
 
 #include <gtest/gtest.h>
 
@@ -29,9 +30,10 @@ public:
   void run() {
     DLF_SCOPE("MyThread::run");
     if (Flag) {
-      // Long-running methods f1..f4 (just scheduling points here).
-      for (int I = 0; I != 4; ++I)
-        yieldNow();
+      // Long-running methods f1..f4: four scheduling points under the
+      // Active scheduler, 5 ms of real time in passthrough, where yields
+      // alone leave the ABBA windows close enough to overlap now and then.
+      staggerWall(4, 5000);
     }
     MutexGuard Outer(L1, DLF_NAMED_SITE("fig1:15"));
     MutexGuard Inner(L2, DLF_NAMED_SITE("fig1:16"));
