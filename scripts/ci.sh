@@ -29,7 +29,8 @@
 # recorded both as a text trace and through the shared-memory event ring,
 # asserting dlf-observe's cycle report is equivalent to dlf-analyze's,
 # that the dlf_ring_* telemetry flows through both ends, and that
-# dlf-observe's launch mode (memfd + DLF_RING=fd:<n>) works end to end.
+# dlf-observe's launch mode (memfd + DLF_RING=fd:<n>) works end to end,
+# with a final --metrics-out document that matches its drain summary.
 # Tier 7 (status server): a chaos-seeded campaign run with
 # --status-addr 127.0.0.1:0, scraping /healthz, /metrics, and /status
 # mid-run (curl, or python3 urllib when curl is absent), validating the
@@ -227,9 +228,25 @@ done
 # Launch mode end to end: dlf-observe owns the ring on a memfd and hands
 # it to the forked target as DLF_RING=fd:<n>.
 build/src/dlf-observe --preload build/src/libdlf_preload.so \
+  --metrics-out "$RINGDIR/launch.metrics.json" \
   -- build/tests/preload_ring_work rwlock-abba \
-  > "$RINGDIR/launch.out" 2>/dev/null
+  > "$RINGDIR/launch.out" 2>"$RINGDIR/launch.err"
 grep -q '1 potential deadlock cycle(s)' "$RINGDIR/launch.out"
+# --metrics-out is rewritten at most once a second while records flow, and
+# at exit: the final document must parse and agree with the stderr drain
+# summary, so a stale exit-time file fails here.
+python3 - "$RINGDIR/launch.metrics.json" "$RINGDIR/launch.err" <<'EOF'
+import json, re, sys
+with open(sys.argv[1]) as f:
+    doc = json.load(f)
+with open(sys.argv[2]) as f:
+    m = re.search(r"dlf-observe: drained (\d+) record", f.read())
+assert m, "no drain summary on stderr"
+drained = doc["counters"]["dlf_ring_drained_total"]
+assert drained == int(m.group(1)), (drained, m.group(1))
+assert "dlf_ring_held_back" in doc["gauges"], doc["gauges"]
+print("metrics-out final document: %d record(s) drained" % drained)
+EOF
 echo "== ring: launch mode OK =="
 
 echo "== tier 7: status server (live scrape + server-less equivalence) =="

@@ -8,7 +8,6 @@
 
 #include "faultinject/FaultInject.h"
 
-#include <algorithm>
 #include <cerrno>
 #include <cstdlib>
 #include <cstring>
@@ -413,12 +412,11 @@ RingReader *RingReader::fromMapping(void *M, size_t B, int Fd,
                                         R->Geom.shardCtlOff());
   R->Slots = reinterpret_cast<Slot *>(static_cast<char *>(M) +
                                       R->Geom.slotsOff());
-  R->Consumed.resize(R->Geom.Shards, 0);
-  R->LastSeq.resize(R->Geom.Shards, 0); // Stored as Seq+1; 0 = none yet.
+  R->Shard.resize(R->Geom.Shards);
   // Attaching mid-run: pick up from whatever the shards already consumed
   // (a previous observer) rather than re-reading overwritten slots.
   for (uint32_t I = 0; I < R->Geom.Shards; ++I)
-    R->Consumed[I] = R->Ctl[I].Tail.load(std::memory_order_acquire);
+    R->Shard[I].Consumed = R->Ctl[I].Tail.load(std::memory_order_acquire);
   return R;
 }
 
@@ -545,18 +543,19 @@ std::string RingReader::siteName(uint32_t Id) const {
   return std::string(Sites->Data + E.Off, E.Len);
 }
 
-namespace {
-struct SeqGreater {
-  bool operator()(const Record &A, const Record &B) const {
-    return A.Seq > B.Seq;
-  }
-};
-} // namespace
-
 uint64_t RingReader::drainShard(uint32_t S, bool *Unknown) {
   ShardCtl &C = Ctl[S];
+  ShardState &St = Shard[S];
   uint64_t Head = C.Head.load(std::memory_order_acquire);
-  uint64_t Tail = Consumed[S];
+  uint64_t Tail = St.Consumed;
+
+  // Drop the prefix earlier passes emitted; what stays is the (short)
+  // held-back tail, so this moves little.
+  if (St.RunHead != 0) {
+    St.Run.erase(St.Run.begin(),
+                 St.Run.begin() + static_cast<std::ptrdiff_t>(St.RunHead));
+    St.RunHead = 0;
+  }
 
   for (; Tail != Head; ++Tail) {
     Slot &Sl = Slots[size_t(S) * Geom.Slots + (Tail & (Geom.Slots - 1))];
@@ -573,15 +572,19 @@ uint64_t RingReader::drainShard(uint32_t S, bool *Unknown) {
       ++Stats.Torn;
       continue;
     }
-    if (stampPhase(S1) != 2 || !stampHasSeq(S1) || stampSeq(S1) != R.Seq) {
+    // A shard's writers take sequences in order, so a sequence at or below
+    // the shard's last one can only come from a corrupted mapping; keeping
+    // it out keeps the run (and the merged output) ascending.
+    if (stampPhase(S1) != 2 || !stampHasSeq(S1) || stampSeq(S1) != R.Seq ||
+        R.Seq < St.LastSeq) {
       ++Stats.Corrupt;
       continue;
     }
-    HoldBack.push_back(R);
-    std::push_heap(HoldBack.begin(), HoldBack.end(), SeqGreater());
-    LastSeq[S] = R.Seq + 1;
+    St.Run.push_back(R);
+    St.LastSeq = R.Seq + 1;
+    ++Stats.HeldBack;
   }
-  Consumed[S] = Tail;
+  St.Consumed = Tail;
   C.Tail.store(Tail, std::memory_order_release);
 
   // Merge frontier: peek the next unpublished slot. A claim marker with no
@@ -595,11 +598,60 @@ uint64_t RingReader::drainShard(uint32_t S, bool *Unknown) {
           std::memory_order_seq_cst);
   if (Peek == StampClaimed) {
     *Unknown = true;
-    return LastSeq[S]; // Seq+1 of the last drained record; 0 if none.
+    return St.LastSeq; // Seq+1 of the last drained record; 0 if none.
   }
-  if (stampHasSeq(Peek) && stampSeq(Peek) + 1 > LastSeq[S])
+  if (stampHasSeq(Peek) && stampSeq(Peek) + 1 > St.LastSeq)
     return stampSeq(Peek);
   return UINT64_MAX;
+}
+
+size_t RingReader::mergeBelow(uint64_t Limit, std::vector<Record> &Out) {
+  Cursors.clear();
+  for (uint32_t S = 0; S < Geom.Shards; ++S) {
+    const ShardState &St = Shard[S];
+    if (St.RunHead != St.Run.size())
+      Cursors.push_back({St.Run[St.RunHead].Seq, S});
+  }
+  // k-way merge over the runs with pending records: find the smallest head
+  // and the runner-up, then copy the smallest run's whole stretch below the
+  // runner-up (and the limit) in one go. The cost per emitted stretch is
+  // one scan of the (few) live cursors; records are only copied, once.
+  size_t Emitted = 0;
+  while (!Cursors.empty()) {
+    size_t Best = 0;
+    uint64_t Next = UINT64_MAX;
+    for (size_t I = 1; I < Cursors.size(); ++I) {
+      if (Cursors[I].Seq < Cursors[Best].Seq) {
+        Next = Cursors[Best].Seq;
+        Best = I;
+      } else if (Cursors[I].Seq < Next) {
+        Next = Cursors[I].Seq;
+      }
+    }
+    if (Cursors[Best].Seq >= Limit)
+      break;
+    const uint64_t Stop = Next < Limit ? Next : Limit;
+    ShardState &St = Shard[Cursors[Best].Shard];
+    size_t End = St.RunHead + 1;
+    while (End != St.Run.size() && St.Run[End].Seq < Stop)
+      ++End;
+    Out.insert(Out.end(),
+               St.Run.begin() + static_cast<std::ptrdiff_t>(St.RunHead),
+               St.Run.begin() + static_cast<std::ptrdiff_t>(End));
+    Emitted += End - St.RunHead;
+    St.RunHead = End;
+    if (End == St.Run.size()) {
+      St.Run.clear();
+      St.RunHead = 0;
+      Cursors[Best] = Cursors.back();
+      Cursors.pop_back();
+    } else {
+      Cursors[Best].Seq = St.Run[End].Seq;
+    }
+  }
+  Stats.Drained += Emitted;
+  Stats.HeldBack -= Emitted;
+  return Emitted;
 }
 
 bool RingReader::drainPass(std::vector<Record> &Out) {
@@ -618,22 +670,11 @@ bool RingReader::drainPass(std::vector<Record> &Out) {
   ++Stats.Passes;
   if (Stalled)
     ++Stats.StalledPasses;
-
-  size_t Emitted = 0;
-  while (!HoldBack.empty() && HoldBack.front().Seq < Safe) {
-    std::pop_heap(HoldBack.begin(), HoldBack.end(), SeqGreater());
-    Out.push_back(HoldBack.back());
-    HoldBack.pop_back();
-    ++Emitted;
-  }
-  Stats.Drained += Emitted;
-  Stats.HeldBack = HoldBack.size();
-  return Emitted != 0;
+  return mergeBelow(Safe, Out) != 0;
 }
 
 void RingReader::finishDrain(std::vector<Record> &Out) {
-  std::vector<Record> Tmp;
-  drainPass(Tmp);
+  drainPass(Out);
   // The writer is done or dead: count in-flight slots it abandoned, then
   // release the whole hold-back buffer — no new sequences can appear.
   for (uint32_t S = 0; S < Geom.Shards; ++S) {
@@ -643,20 +684,12 @@ void RingReader::finishDrain(std::vector<Record> &Out) {
             std::memory_order_acquire);
     if (Peek == StampClaimed ||
         (stampHasSeq(Peek) && stampPhase(Peek) == 1 &&
-         stampSeq(Peek) + 1 > LastSeq[S]))
+         stampSeq(Peek) + 1 > Shard[S].LastSeq))
       ++Stats.HalfWritten;
   }
-  // drainPass emitted everything below the frontier in ascending order;
-  // heap pops release the rest (all above it) ascending too, so the
-  // concatenation stays sorted by sequence.
-  Stats.Drained += HoldBack.size();
-  while (!HoldBack.empty()) {
-    std::pop_heap(HoldBack.begin(), HoldBack.end(), SeqGreater());
-    Tmp.push_back(HoldBack.back());
-    HoldBack.pop_back();
-  }
-  Stats.HeldBack = 0;
-  Out.insert(Out.end(), Tmp.begin(), Tmp.end());
+  // drainPass emitted everything below the frontier in ascending order and
+  // the rest is all above it, so the concatenation stays sorted.
+  mergeBelow(UINT64_MAX, Out);
 }
 
 } // namespace ring

@@ -41,8 +41,9 @@
 ///   telemetry (dlf_ring_dropped_total) and the observer's report.
 ///
 /// * Monotonic global sequence numbers. Every record carries a sequence
-///   from a single fetch-add counter in the header; the observer merges
-///   shards by sorting on it. Causal safety: a record that happens-before
+///   from a single fetch-add counter in the header. A shard has one writer
+///   at a time, so its records are already ascending; the observer merges
+///   the per-shard runs on it. Causal safety: a record that happens-before
 ///   another (release before acquire, notify before wake, create before
 ///   first child event) is always *published* before the later record is
 ///   even claimed — the interposer writes source-side records before the
@@ -305,7 +306,8 @@ private:
 struct DrainStats {
   uint64_t Drained = 0;       ///< Records handed to the caller so far.
   uint64_t Torn = 0;          ///< Slots whose stamp changed under the read.
-  uint64_t Corrupt = 0;       ///< Stamp/payload sequence mismatches.
+  uint64_t Corrupt = 0;       ///< Stamp/payload sequence mismatches, and
+                              ///< sequences not above their shard's last.
   uint64_t HalfWritten = 0;   ///< In-flight slots abandoned by a dead writer.
   uint64_t HeldBack = 0;      ///< Records buffered above the safe frontier.
   uint64_t Passes = 0;        ///< drainPass calls.
@@ -330,11 +332,12 @@ public:
   RingReader(const RingReader &) = delete;
   RingReader &operator=(const RingReader &) = delete;
 
-  /// One merge pass: drains every shard, then appends to \p Out — in
-  /// ascending sequence order — every buffered record below the safe
-  /// frontier (the smallest sequence number that could still appear in a
-  /// not-yet-drained slot). Records above the frontier stay buffered for a
-  /// later pass. Returns true if any record was appended.
+  /// One merge pass: drains every shard into its run buffer, then appends
+  /// to \p Out — in ascending sequence order, merged from the run heads —
+  /// every buffered record below the safe frontier (the smallest sequence
+  /// number that could still appear in a not-yet-drained slot). Records
+  /// above the frontier stay buffered for a later pass. Returns true if any
+  /// record was appended.
   bool drainPass(std::vector<Record> &Out);
 
   /// Final drain once the writer is done or dead: drains what remains,
@@ -359,11 +362,31 @@ private:
   RingReader() = default;
   static RingReader *fromMapping(void *Mem, size_t Bytes, int Fd,
                                  std::string *Err);
-  /// Drains published records of shard \p S into the hold-back buffer;
-  /// returns this shard's contribution to the safe frontier, or UINT64_MAX
-  /// when the shard constrains nothing. Sets \p Unknown when the shard has
-  /// a claimed slot whose sequence is not visible yet.
+  /// Drains published records of shard \p S onto its run; returns this
+  /// shard's contribution to the safe frontier, or UINT64_MAX when the
+  /// shard constrains nothing. Sets \p Unknown when the shard has a
+  /// claimed slot whose sequence is not visible yet.
   uint64_t drainShard(uint32_t S, bool *Unknown);
+  /// Merges the run heads into \p Out, ascending, while the smallest head
+  /// is below \p Limit; returns the number of records appended.
+  size_t mergeBelow(uint64_t Limit, std::vector<Record> &Out);
+
+  /// Reader state of one shard. Run holds the records drained but not yet
+  /// emitted, from RunHead on: ascending, because a shard has one writer at
+  /// a time (shard 0's spinlock serializes its sharers, and a reused
+  /// shard's new owner claims only after the old one released it). The
+  /// buffer is reused across passes, so a warm reader does not allocate.
+  struct ShardState {
+    uint64_t Consumed = 0; ///< Records consumed (== the shard's Tail).
+    uint64_t LastSeq = 0;  ///< Seq+1 of the last record accepted; 0 = none.
+    std::vector<Record> Run;
+    size_t RunHead = 0;
+  };
+  /// One merge cursor: a shard with pending records and its head's Seq.
+  struct RunCursor {
+    uint64_t Seq;
+    uint32_t Shard;
+  };
 
   void *Mem = nullptr;
   size_t Bytes = 0;
@@ -375,9 +398,10 @@ private:
   Slot *Slots = nullptr;
   RingGeometry Geom;
 
-  std::vector<uint64_t> Consumed;     ///< Per-shard consumed count (== Tail).
-  std::vector<uint64_t> LastSeq;      ///< Highest sequence drained per shard.
-  std::vector<Record> HoldBack;       ///< Min-heap on Seq.
+  /// The hold-back buffer is the shard runs together; Stats.HeldBack
+  /// counts them (after a pass: the records above the safe frontier).
+  std::vector<ShardState> Shard;
+  std::vector<RunCursor> Cursors; ///< mergeBelow scratch, reused.
   DrainStats Stats;
 };
 

@@ -129,7 +129,11 @@ void dbcp::runDbcpHarness() {
       Pool,
       [&] {
         DLF_SCOPE("dbcp::closeStmtWorker");
-        stagger(2);
+        // Outside the Active scheduler a yield is nanoseconds, so on a
+        // loaded host both partners can sit in their windows together and
+        // the plain program deadlocks; enter well after prepare left its
+        // window. Under the Active scheduler this is still stagger(2).
+        staggerWall(2, 5000);
         (void)C1.isClosed(); // gate: connection monitor, alone
         Pool.closeStatement(C1, "select 1");
       },
@@ -147,7 +151,7 @@ void dbcp::runDbcpHarness() {
       Pool,
       [&] {
         DLF_SCOPE("dbcp::evictWorker");
-        stagger(2);
+        staggerWall(2, 5000); // after close's window, as closeStmt above
         (void)C2.isClosed(); // gate: connection monitor, alone
         Pool.evictIdle(C2);
       },

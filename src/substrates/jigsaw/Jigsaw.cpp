@@ -314,6 +314,14 @@ void jigsaw::runJigsawHarness() {
 
   std::vector<Thread> Workers;
 
+  // Outside the Active scheduler the workers start together and a yield
+  // is nanoseconds, so on a loaded host two inverted windows can overlap
+  // and the plain program deadlocks. Each worker's entry stagger also
+  // waits this much real time per point, which keeps the windows in the
+  // order the points give them; the Active schedule is unchanged (see
+  // staggerWall).
+  constexpr unsigned EntryUsPerPoint = 1000;
+
   // Client worker threads: parse and serve real HTTP requests
   // ([cache], [store -> resource]), account them ([client -> csList]),
   // then finish the connection ([csList -> factory], Figure 3's
@@ -323,7 +331,7 @@ void jigsaw::runJigsawHarness() {
     Workers.emplace_back(Thread(
         [&Store, &Cache, Client, I] {
           DLF_SCOPE("jigsaw::clientWorker");
-          stagger(2 + 3 * I);
+          staggerWall(2 + 3 * I, (2 + 3 * I) * EntryUsPerPoint);
           for (unsigned R = 0; R != RequestsPerClient; ++R) {
             std::string Raw = "GET /res/" + std::to_string(I + R) +
                               " HTTP/1.0\r\nhost: jigsaw\r\n\r\n";
@@ -342,7 +350,7 @@ void jigsaw::runJigsawHarness() {
   Workers.emplace_back(Thread(
       [&Cache] {
         DLF_SCOPE("jigsaw::warmerWorker");
-        stagger(4);
+        staggerWall(4, 4 * EntryUsPerPoint);
         for (unsigned R = 0; R != 3; ++R) {
           Cache.fill(R);
           stagger(2);
@@ -352,7 +360,7 @@ void jigsaw::runJigsawHarness() {
   Workers.emplace_back(Thread(
       [&Store, &Cache] {
         DLF_SCOPE("jigsaw::adminWorker");
-        stagger(10);
+        staggerWall(10, 10 * EntryUsPerPoint);
         (void)Cache.size(); // gate: cache monitor, alone
         Store.invalidate(Cache);
       },
@@ -362,7 +370,8 @@ void jigsaw::runJigsawHarness() {
   Workers.emplace_back(Thread(
       [&Factory] {
         DLF_SCOPE("jigsaw::reaperWorker");
-        stagger(8);
+        // Same points as the last client; in wall time, after it.
+        staggerWall(8, 11 * EntryUsPerPoint);
         Factory.scanClients();
         stagger(4);
         Factory.killIdleClient(1);
@@ -373,7 +382,7 @@ void jigsaw::runJigsawHarness() {
   Workers.emplace_back(Thread(
       [&Store] {
         DLF_SCOPE("jigsaw::saverWorker");
-        stagger(6);
+        staggerWall(6, 6 * EntryUsPerPoint);
         for (unsigned R = 0; R != 3; ++R) {
           Store.saveResource(R);
           stagger(3);
@@ -387,7 +396,7 @@ void jigsaw::runJigsawHarness() {
   Workers.emplace_back(Thread(
       [&Indexer, &Logbook] {
         DLF_SCOPE("jigsaw::indexWriter");
-        stagger(5);
+        staggerWall(5, 5 * EntryUsPerPoint);
         MutexGuard A(Indexer, DLF_NAMED_SITE("jigsaw::reindex/indexer"));
         MutexGuard B(Logbook, DLF_NAMED_SITE("jigsaw::reindex/logbook"));
       },
@@ -395,7 +404,7 @@ void jigsaw::runJigsawHarness() {
   Workers.emplace_back(Thread(
       [&Logbook, &Stats] {
         DLF_SCOPE("jigsaw::logRotator");
-        stagger(7);
+        staggerWall(7, 7 * EntryUsPerPoint);
         MutexGuard A(Logbook, DLF_NAMED_SITE("jigsaw::rotate/logbook"));
         MutexGuard B(Stats, DLF_NAMED_SITE("jigsaw::rotate/stats"));
       },
@@ -403,7 +412,7 @@ void jigsaw::runJigsawHarness() {
   Workers.emplace_back(Thread(
       [&Stats, &Indexer] {
         DLF_SCOPE("jigsaw::statsCollector");
-        stagger(9);
+        staggerWall(9, 9 * EntryUsPerPoint);
         MutexGuard A(Stats, DLF_NAMED_SITE("jigsaw::collect/stats"));
         MutexGuard B(Indexer, DLF_NAMED_SITE("jigsaw::collect/indexer"));
       },
@@ -442,7 +451,7 @@ void jigsaw::runJigsawHarness() {
   Thread Shutdown(
       [&Factory] {
         DLF_SCOPE("jigsaw::shutdownWorker");
-        stagger(3);
+        staggerWall(3, 3 * EntryUsPerPoint);
         (void)Factory.idleCount(); // factory monitor alone (gate)
         Factory.shutdown();
       },

@@ -25,11 +25,15 @@
 // events to the dependency log, steps the incremental closure
 // (IncrementalIGoodlock: only the chains and cycles the epoch's new
 // dependency entries make possible are computed), and reports progress on
-// stderr. stdout carries only the final report: one full runIGoodlock over
-// the final log, printed through the same analysis/LogBuilder.h printer as
-// dlf-analyze — equivalent cycles in the same order for the same
-// execution, diffable by CI. Events are kept beyond their epoch only for
-// the --races pass, which needs the whole stream.
+// stderr, one line in one write. --metrics-out is rewritten at most once a
+// second, in any epoch that finds a new cycle, and at exit: the file is a
+// complete document at every instant and at most ~1 s stale, while the
+// per-epoch numbers stay live on --status-addr. stdout carries only the
+// final report: one full runIGoodlock over the final log, printed through
+// the same analysis/LogBuilder.h printer as dlf-analyze — equivalent
+// cycles in the same order for the same execution, diffable by CI. Events
+// are kept beyond their epoch only for the --races pass, which needs the
+// whole stream.
 //
 // Exit codes mirror dlf-analyze: 0 analysis ran; 1 usage error; 2 the ring
 // is missing/not a ring; 3 the ring carries no events.
@@ -71,6 +75,12 @@ namespace {
 constexpr int ExitUsage = 1;
 constexpr int ExitCorruptRing = 2;
 constexpr int ExitNoEvents = 3;
+
+/// The longest a live --metrics-out file goes without a rewrite while
+/// records flow. Each rewrite is a create + rename, whose filesystem cost
+/// is per epoch rather than per record; a scraper wanting every epoch
+/// polls --status-addr instead.
+constexpr std::chrono::seconds MetricsOutPeriod(1);
 
 const char *Usage =
     "usage: dlf-observe <ring-file> [options]\n"
@@ -123,6 +133,9 @@ telemetry::MetricsSnapshot ringMetricsSnapshot(const ring::RingReader &Reader,
   M.Counters["dlf_ring_stalled_passes_total"] = S.StalledPasses;
   M.Counters["dlf_ring_unknown_kind_total"] = Asm.unknownKindRecords();
   M.Gauges["dlf_ring_occupancy"] = static_cast<int64_t>(Reader.occupancy());
+  // Drained but held above the safe frontier; with the occupancy, the
+  // records the observer trails the writer by.
+  M.Gauges["dlf_ring_held_back"] = static_cast<int64_t>(S.HeldBack);
   return M;
 }
 
@@ -180,6 +193,8 @@ void observe(ring::RingReader &Reader, pid_t ChildPid, const Options &Opts,
   const unsigned NoWriterBudgetMs = 10000;
   bool SawWriter = false;
   bool ChildExited = false;
+  size_t MetricsCycles = 0;
+  auto MetricsAt = Start - MetricsOutPeriod; // the first progress writes
 
   while (true) {
     ++Epoch;
@@ -201,10 +216,17 @@ void observe(ring::RingReader &Reader, pid_t ChildPid, const Options &Opts,
       // running.
       IGoodlockStats Stats;
       NumCycles = Closure.step(Builder.log(), &Stats);
-      std::cerr << "dlf-observe: epoch " << Epoch << ": +" << Batch.size()
-                << " record(s), " << Builder.eventsSeen() << " event(s), "
-                << NumCycles << " cycle(s), "
-                << Reader.stats().HeldBack << " held back\n";
+      // One buffer, one write: stderr is unbuffered, and streaming the
+      // line piece by piece would cost a write per field.
+      char Line[192];
+      int Len = std::snprintf(
+          Line, sizeof(Line),
+          "dlf-observe: epoch %llu: +%zu record(s), %llu event(s), %zu "
+          "cycle(s), %llu held back\n",
+          static_cast<unsigned long long>(Epoch), Batch.size(),
+          static_cast<unsigned long long>(Builder.eventsSeen()), NumCycles,
+          static_cast<unsigned long long>(Reader.stats().HeldBack));
+      std::cerr.write(Line, Len);
       if (Status) {
         serve::CampaignStatus St;
         St.Tool = "dlf-observe";
@@ -234,12 +256,19 @@ void observe(ring::RingReader &Reader, pid_t ChildPid, const Options &Opts,
                     .count()));
         R.counter("dlf_observe_epoch_chains_total").inc(Stats.ChainsExplored);
       }
-      // Epoch-granular rewrite: the file stays complete and current at
-      // every instant, so an external scraper can tail a live observation
-      // instead of waiting for exit.
-      if (!Opts.MetricsOut.empty())
-        writeMetricsAtomic(Opts.MetricsOut, Opts.MetricsProm,
-                           observerMetrics(Reader, Asm));
+      // Rate-bounded rewrite: the file stays complete at every instant
+      // and at most MetricsOutPeriod stale, so an external scraper can
+      // tail a live observation instead of waiting for exit; a new cycle
+      // shows up in the epoch that found it.
+      if (!Opts.MetricsOut.empty()) {
+        const auto Now = std::chrono::steady_clock::now();
+        if (NumCycles != MetricsCycles || Now - MetricsAt >= MetricsOutPeriod) {
+          writeMetricsAtomic(Opts.MetricsOut, Opts.MetricsProm,
+                             observerMetrics(Reader, Asm));
+          MetricsCycles = NumCycles;
+          MetricsAt = Now;
+        }
+      }
     }
 
     if (Reader.writerDone())

@@ -7,6 +7,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "campaign/Json.h"
 #include "interpose/TraceFormat.h"
 
 #include <gtest/gtest.h>
@@ -470,11 +471,12 @@ TEST(PreloadRing, LaunchModeExportsEpochTelemetry) {
   // Every epoch that drains records times itself and counts the chains its
   // closure step built, into the registry --metrics-out exports.
   const std::string Metrics = tmpPath("dlf_observe_epoch.metrics.json");
+  const std::string Stderr = tmpPath("dlf_observe_epoch.err");
   std::remove(Metrics.c_str());
   ASSERT_EQ(runCommand(std::string(DLF_OBSERVE_BIN) + " --metrics-out " +
                        Metrics + " --preload " DLF_PRELOAD_LIB
                        " -- " DLF_RINGWORK_BIN " rwlock-abba >/dev/null "
-                       "2>&1"),
+                       "2>" + Stderr),
             0);
   std::ifstream In(Metrics);
   std::stringstream Doc;
@@ -484,7 +486,26 @@ TEST(PreloadRing, LaunchModeExportsEpochTelemetry) {
   EXPECT_NE(Doc.str().find("\"dlf_observe_epoch_chains_total\""),
             std::string::npos)
       << Doc.str();
+
+  // The live rewrites are rate-bounded; the exit-time document must still
+  // be current: its drained total is the stderr summary's, and it carries
+  // the observer-lag gauge.
+  dlf::campaign::JsonValue Parsed;
+  ASSERT_TRUE(dlf::campaign::parseJson(Doc.str(), Parsed)) << Doc.str();
+  EXPECT_TRUE(Parsed["gauges"].has("dlf_ring_held_back")) << Doc.str();
+  std::ifstream ErrIn(Stderr);
+  std::stringstream Err;
+  Err << ErrIn.rdbuf();
+  const std::string Tag = "dlf-observe: drained ";
+  const size_t At = Err.str().find(Tag);
+  ASSERT_NE(At, std::string::npos) << Err.str();
+  const uint64_t Summary =
+      std::strtoull(Err.str().c_str() + At + Tag.size(), nullptr, 10);
+  EXPECT_GT(Summary, 0u) << Err.str();
+  EXPECT_EQ(Parsed["counters"]["dlf_ring_drained_total"].asUInt(), Summary)
+      << Doc.str() << "\n" << Err.str();
   std::remove(Metrics.c_str());
+  std::remove(Stderr.c_str());
 }
 
 TEST(PreloadRing, ObserveExitCodesDistinguishFailures) {

@@ -3,8 +3,9 @@
 // Edge cases of the ring transport (src/ring): wrap-around, overflow drop
 // accounting, torn/corrupt record detection through the seqlock stamps, an
 // observer attaching mid-run, a writer dying with a half-written slot
-// (driven by the deterministic fault plane), cross-shard merge order, and
-// the observer-side Assembler's model reconstruction.
+// (driven by the deterministic fault plane), cross-shard merge order (also
+// differentially, against concurrent writers), the frontier across passes,
+// and the observer-side Assembler's model reconstruction.
 //
 //===----------------------------------------------------------------------===//
 
@@ -12,9 +13,11 @@
 #include "faultinject/FaultInject.h"
 #include "ring/Assemble.h"
 #include "ring/Ring.h"
+#include "support/Rng.h"
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <memory>
 #include <string>
 #include <thread>
@@ -293,6 +296,160 @@ TEST(Ring, TwoWritersMergeInSequenceOrder) {
   // 0..N-1 with no gaps.
   for (size_t I = 0; I != Out.size(); ++I)
     EXPECT_EQ(Out[I].Seq, I);
+}
+
+TEST(Ring, ConcurrentDrainMatchesWrittenSetInOrder) {
+  // Differential check of the run merge: more writers than shards (so the
+  // shared shard 0 carries several threads) and a small ring that wraps,
+  // drained in many small passes while the writers run. The output must be
+  // exactly the written records, ascending, with sequences 0..N-1, and each
+  // writer's records in its program order.
+  const std::string Path = tmpRing("ring_differential.ring");
+  std::string Err;
+  std::unique_ptr<RingWriter> W(RingWriter::create(Path, 4, 64, &Err));
+  ASSERT_TRUE(W) << Err;
+  std::unique_ptr<RingReader> R(RingReader::attach(Path, &Err));
+  ASSERT_TRUE(R) << Err;
+
+  const unsigned Writers = 7; // shards 1..3 exclusive, the rest share 0
+  Rng Seeds(20240917);
+  std::vector<uint32_t> Counts(Writers + 1, 0);
+  uint64_t Total = 0;
+  for (unsigned T = 1; T <= Writers; ++T) {
+    Counts[T] = 200 + static_cast<uint32_t>(Seeds.nextBelow(400));
+    Total += Counts[T];
+  }
+  std::atomic<unsigned> Claimed{0}, Shared{0}, Running{Writers};
+  auto Writer = [&](uint32_t Tid) {
+    ShardHandle H = W->claimShard();
+    if (H.SharedShard)
+      Shared.fetch_add(1);
+    // Nobody releases before everyone claimed, so the pool runs out.
+    Claimed.fetch_add(1);
+    while (Claimed.load() != Writers)
+      std::this_thread::yield();
+    Rng Pace(Tid);
+    for (uint32_t I = 0; I != Counts[Tid]; ++I) {
+      if (Pace.nextBelow(8) == 0)
+        std::this_thread::yield();
+      // A full shard drops; retry so the written set stays known.
+      while (!W->write(H, RecordKind::Acquire, Tid,
+                       (uint64_t(Tid) << 32) | I, 0))
+        std::this_thread::yield();
+    }
+    W->releaseShard(H);
+    Running.fetch_sub(1);
+  };
+  std::vector<std::thread> Threads;
+  for (uint32_t T = 1; T <= Writers; ++T)
+    Threads.emplace_back(Writer, T);
+
+  std::vector<Record> Out;
+  while (Running.load() != 0) {
+    R->drainPass(Out);
+    std::this_thread::yield();
+  }
+  for (std::thread &T : Threads)
+    T.join();
+  W->markDone();
+  R->finishDrain(Out);
+
+  EXPECT_GT(Shared.load(), 0u) << "shard 0's shared path went unused";
+  EXPECT_GT(R->stats().Passes, 2u);
+  EXPECT_EQ(R->stats().Torn, 0u);
+  EXPECT_EQ(R->stats().Corrupt, 0u);
+  EXPECT_EQ(R->stats().HeldBack, 0u);
+  EXPECT_EQ(R->stats().Drained, Total);
+  ASSERT_EQ(Out.size(), Total);
+  std::vector<uint32_t> NextOf(Writers + 1, 0);
+  for (size_t I = 0; I != Out.size(); ++I) {
+    ASSERT_EQ(Out[I].Seq, I);
+    const uint32_t Tid = Out[I].Tid;
+    ASSERT_TRUE(Tid >= 1 && Tid <= Writers) << "record " << I;
+    EXPECT_EQ(Out[I].Addr, (uint64_t(Tid) << 32) | NextOf[Tid])
+        << "writer " << Tid << " out of program order at " << I;
+    ++NextOf[Tid];
+  }
+  for (unsigned T = 1; T <= Writers; ++T)
+    EXPECT_EQ(NextOf[T], Counts[T]) << "writer " << T;
+}
+
+TEST(Ring, ClaimedSlotHoldsFrontierUntilFinish) {
+  // A claim marker with no sequence yet could still become any sequence
+  // above its shard's last one, so every later record waits behind it —
+  // across passes — until the final drain releases them all, in order.
+  const std::string Path = tmpRing("ring_claimed.ring");
+  std::string Err;
+  std::unique_ptr<RingWriter> W(RingWriter::create(Path, 4, 16, &Err));
+  ASSERT_TRUE(W) << Err;
+  ShardHandle A = W->claimShard(), B = W->claimShard();
+  ASSERT_EQ(A.Index, 1u);
+  ASSERT_EQ(B.Index, 2u);
+  for (int I = 0; I != 2; ++I) {
+    ASSERT_TRUE(W->write(A, RecordKind::Acquire, 1, 0x10, 0)); // 0, 2
+    ASSERT_TRUE(W->write(B, RecordKind::Acquire, 2, 0x20, 0)); // 1, 3
+  }
+  RawRing Raw(Path);
+  ASSERT_TRUE(Raw.Mem);
+  Raw.slot(1, 2).Stamp.store(StampClaimed); // shard 1's next slot
+
+  std::unique_ptr<RingReader> R(RingReader::attach(Path, &Err));
+  ASSERT_TRUE(R) << Err;
+  std::vector<Record> Out;
+  EXPECT_TRUE(R->drainPass(Out));
+  ASSERT_EQ(Out.size(), 3u); // 0..2; 3 is above the frontier
+  EXPECT_EQ(R->stats().HeldBack, 1u);
+
+  ASSERT_TRUE(W->write(B, RecordKind::Acquire, 2, 0x20, 0)); // 4
+  ASSERT_TRUE(W->write(B, RecordKind::Acquire, 2, 0x20, 0)); // 5
+  EXPECT_FALSE(R->drainPass(Out));
+  EXPECT_EQ(Out.size(), 3u);
+  EXPECT_EQ(R->stats().HeldBack, 3u);
+  EXPECT_EQ(R->stats().StalledPasses, 2u);
+
+  W->markDone();
+  R->finishDrain(Out);
+  ASSERT_EQ(Out.size(), 6u);
+  for (size_t I = 0; I != Out.size(); ++I)
+    EXPECT_EQ(Out[I].Seq, I);
+  EXPECT_EQ(R->stats().HalfWritten, 1u);
+  EXPECT_EQ(R->stats().HeldBack, 0u);
+  EXPECT_EQ(R->stats().Drained, 6u);
+}
+
+TEST(Ring, OutOfOrderSequenceWithinShardIsCorrupt) {
+  // A complete, self-consistent slot (stamp and payload agree) whose
+  // sequence is not above its shard's previous one cannot come from a
+  // writer: a shard's writers take sequences in order. Here it duplicates
+  // a sequence another shard holds; it is counted corrupt, not emitted.
+  const std::string Path = tmpRing("ring_out_of_order.ring");
+  std::string Err;
+  std::unique_ptr<RingWriter> W(RingWriter::create(Path, 4, 16, &Err));
+  ASSERT_TRUE(W) << Err;
+  ShardHandle A = W->claimShard(), B = W->claimShard();
+  ASSERT_TRUE(W->write(A, RecordKind::Acquire, 1, 0x10, 0)); // 0
+  ASSERT_TRUE(W->write(B, RecordKind::Acquire, 2, 0x20, 0)); // 1
+  ASSERT_TRUE(W->write(A, RecordKind::Acquire, 1, 0x11, 0)); // 2
+  ASSERT_TRUE(W->write(A, RecordKind::Acquire, 1, 0x12, 0)); // 3
+  W->markDone();
+
+  RawRing Raw(Path);
+  ASSERT_TRUE(Raw.Mem);
+  Slot &Forged = Raw.slot(1, 2); // shard 1's third record, sequence 3
+  Forged.R.Seq = 1;
+  Forged.Stamp.store(stampComplete(1));
+
+  std::unique_ptr<RingReader> R(RingReader::attach(Path, &Err));
+  ASSERT_TRUE(R) << Err;
+  std::vector<Record> Out;
+  R->finishDrain(Out);
+  EXPECT_EQ(R->stats().Corrupt, 1u);
+  EXPECT_EQ(R->stats().Torn, 0u);
+  ASSERT_EQ(Out.size(), 3u);
+  EXPECT_EQ(Out[0].Seq, 0u);
+  EXPECT_EQ(Out[1].Seq, 1u);
+  EXPECT_EQ(Out[1].Addr, 0x20u);
+  EXPECT_EQ(Out[2].Seq, 2u);
 }
 
 TEST(Ring, SiteInterningRoundTrips) {

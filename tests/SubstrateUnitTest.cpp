@@ -6,6 +6,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "fuzzer/ActiveTester.h"
 #include "runtime/Runtime.h"
 #include "substrates/BenchmarkRegistry.h"
 #include "substrates/collections/SyncList.h"
@@ -174,12 +175,19 @@ TEST(Registry, AllBenchmarksPresent) {
 }
 
 TEST(Registry, EveryBenchmarkRunsUninstrumented) {
-  // Each harness must terminate as a plain program (no runtime installed).
+  // Each harness must terminate as a plain program (no runtime installed)
+  // and exit 0. Each runs in its own forked child under a deadline well
+  // inside the suite's per-test timeout, so a harness that deadlocks fails
+  // by name instead of stalling the whole test.
+  const uint64_t DeadlineMs = 20000;
   for (const BenchmarkInfo &Info : allBenchmarks()) {
     if (Info.Name == "collections")
       continue; // union of two rows already covered
-    SCOPED_TRACE(Info.Name);
-    Info.Entry();
+    double WallMs = 0;
+    EXPECT_EQ(runForkedWithTimeout(Info.Entry, DeadlineMs, &WallMs),
+              ForkedOutcome::Completed)
+        << Info.Name << " did not finish cleanly (after " << WallMs
+        << " ms)";
   }
 }
 

@@ -9,15 +9,19 @@
 // function lazily instead of relying on another wrapper having run).
 //
 // The program is deadlock-free and deterministic in the event *kinds* it
-// emits, which is what PreloadTest.cpp asserts on.
+// emits, which is what PreloadTest.cpp asserts on. The signalled wait is a
+// handshake, not a sleep: main signals only once the waiter is parked, so a
+// late waiter on a loaded host cannot skip its wait (and its wakeup edge).
 //
 // Deliberately uses no dlf headers: the target stays unmodified.
 //
 //===----------------------------------------------------------------------===//
 
+#include <atomic>
 #include <cerrno>
 #include <ctime>
 #include <pthread.h>
+#include <sched.h>
 #include <unistd.h>
 
 namespace {
@@ -31,6 +35,9 @@ pthread_mutex_t TimedLock = PTHREAD_MUTEX_INITIALIZER;
 pthread_cond_t NeverSignaled = PTHREAD_COND_INITIALIZER;
 int Ready = 0;
 int Work = 0;
+/// Set by the waiter under StateLock just before it waits. An atomic, not
+/// a pthread object, so main can spin on it without adding traced events.
+std::atomic<int> WaiterParking{0};
 
 } // namespace
 
@@ -66,8 +73,10 @@ extern "C" void *alphabetWriter(void *) {
 
 extern "C" void *alphabetWaiter(void *) {
   pthread_mutex_lock(&StateLock);
-  while (!Ready)
+  while (!Ready) {
+    WaiterParking.store(1, std::memory_order_release);
     pthread_cond_wait(&Drained, &StateLock);
+  }
   ++Work;
   pthread_mutex_unlock(&StateLock);
   return nullptr;
@@ -120,7 +129,10 @@ int main() {
   // One real signal -> wakeup edge.
   pthread_t Waiter;
   pthread_create(&Waiter, nullptr, alphabetWaiter, nullptr);
-  usleep(2 * 1000);
+  // The waiter holds StateLock from setting the flag until the wait
+  // releases it, so main's lock below succeeds only once it is parked.
+  while (!WaiterParking.load(std::memory_order_acquire))
+    sched_yield();
   pthread_mutex_lock(&StateLock);
   Ready = 1;
   pthread_cond_signal(&Drained);
