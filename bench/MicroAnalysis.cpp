@@ -4,15 +4,19 @@
 // suite: the guard-lock cycle pruner (cost vs. number of witnessing
 // assignments it has to enumerate) and the lockset + vector-clock race
 // detector (cost vs. trace size, and the scaling of its sharded
-// pair-checking pass across worker counts).
+// pair-checking pass across worker counts). Also the observer's per-event
+// path into the dependency log: IncrementalLogBuilder::feed over
+// observe-like epochs (cost vs. lock-stack depth).
 //
 //===----------------------------------------------------------------------===//
 
 #include "analysis/GuardPruner.h"
+#include "analysis/LogBuilder.h"
 #include "analysis/RaceDetector.h"
 #include "analysis/Trace.h"
 #include "igoodlock/IGoodlock.h"
 #include "runtime/Records.h"
+#include "support/Rng.h"
 
 #include <benchmark/benchmark.h>
 
@@ -154,6 +158,90 @@ BENCHMARK(BM_RacePass)
     ->Args({512, 4})
     ->Args({4096, 1})
     ->Args({4096, 4});
+
+/// Observe-like epochs for the log builder: 4 threads each run one of 64
+/// fixed nested acquisition paths of \p Depth locks (drawn from 32 locks),
+/// then release in reverse, the way the ring assembler hands events over
+/// (sites interned, releases bare). After the first pass every acquire is
+/// a duplicate — the observer's steady state.
+std::vector<std::vector<TraceEvent>> buildObserveEpochs(unsigned Depth,
+                                                        size_t EpochEvents,
+                                                        size_t Epochs) {
+  constexpr unsigned Threads = 4, Locks = 32, Paths = 64;
+  Rng R(Depth);
+  std::vector<std::vector<uint64_t>> PathLocks(Paths);
+  std::vector<std::vector<Label>> PathSites(Paths);
+  for (unsigned P = 0; P != Paths; ++P) {
+    while (PathLocks[P].size() != Depth) {
+      uint64_t L = 1 + R.nextBelow(Locks);
+      bool Dup = false;
+      for (uint64_t H : PathLocks[P])
+        Dup |= H == L;
+      if (Dup)
+        continue;
+      PathLocks[P].push_back(L);
+      PathSites[P].push_back(Label::intern("obs:" + std::to_string(L) + "/" +
+                                           std::to_string(R.nextBelow(2))));
+    }
+  }
+  std::vector<std::vector<TraceEvent>> Out(Epochs);
+  for (std::vector<TraceEvent> &Epoch : Out) {
+    while (Epoch.size() + 2 * Depth <= EpochEvents) {
+      uint64_t Tid = 1 + R.nextBelow(Threads);
+      unsigned P = static_cast<unsigned>(R.nextBelow(Paths));
+      for (unsigned I = 0; I != Depth; ++I) {
+        TraceEvent &E = Epoch.emplace_back();
+        E.K = TraceEvent::Kind::Acquire;
+        E.A = Tid;
+        E.B = PathLocks[P][I];
+        E.Interned = PathSites[P][I];
+      }
+      for (unsigned I = Depth; I-- > 0;) {
+        TraceEvent &E = Epoch.emplace_back();
+        E.K = TraceEvent::Kind::Release;
+        E.A = Tid;
+        E.B = PathLocks[P][I];
+      }
+    }
+  }
+  // The introductions go first, in the first epoch.
+  std::vector<TraceEvent> Intro;
+  for (uint64_t T = 1; T <= Threads; ++T) {
+    TraceEvent &E = Intro.emplace_back();
+    E.K = TraceEvent::Kind::ThreadNew;
+    E.A = T;
+    E.Text = "t" + std::to_string(T);
+  }
+  for (uint64_t L = 1; L <= Locks; ++L) {
+    TraceEvent &E = Intro.emplace_back();
+    E.K = TraceEvent::Kind::LockNew;
+    E.A = L;
+    E.Text = "l" + std::to_string(L);
+  }
+  Out.front().insert(Out.front().begin(), Intro.begin(), Intro.end());
+  return Out;
+}
+
+void BM_LogBuilderFeed(benchmark::State &State) {
+  constexpr size_t EpochEvents = 4000, Epochs = 16;
+  std::vector<std::vector<TraceEvent>> Stream = buildObserveEpochs(
+      static_cast<unsigned>(State.range(0)), EpochEvents, Epochs);
+  IncrementalLogBuilder Builder;
+  for (const std::vector<TraceEvent> &Epoch : Stream)
+    Builder.feed(Epoch);
+  size_t Next = 0;
+  int64_t Events = 0;
+  for (auto _ : State) {
+    const std::vector<TraceEvent> &Epoch = Stream[Next];
+    Next = (Next + 1) % Epochs;
+    Builder.feed(Epoch);
+    Events += static_cast<int64_t>(Epoch.size());
+  }
+  State.counters["entries"] =
+      static_cast<double>(Builder.log().entries().size());
+  State.SetItemsProcessed(Events);
+}
+BENCHMARK(BM_LogBuilderFeed)->Arg(1)->Arg(4)->Arg(8);
 
 } // namespace
 

@@ -140,7 +140,8 @@ build/bench/micro_igoodlock \
   --benchmark_filter='BM_ClosureParallelJobs/6/4' \
   --benchmark_min_time=0.02
 build/bench/micro_analysis \
-  --benchmark_filter='BM_GuardPrune' --benchmark_min_time=0.02
+  --benchmark_filter='BM_GuardPrune|BM_LogBuilderFeed' \
+  --benchmark_min_time=0.02
 build/bench/micro_predict \
   --benchmark_filter='BM_PredictLinear/256' --benchmark_min_time=0.02
 

@@ -28,6 +28,17 @@ AbstractionSet absFromLabel(Label Name) {
 
 } // namespace
 
+IncrementalLogBuilder::BuilderThread *
+IncrementalLogBuilder::thread(uint64_t Id) {
+  uint32_t I = ThreadIndex.find(Id);
+  return I == IdIndex::None ? nullptr : &Threads[I];
+}
+
+LockRecord *IncrementalLogBuilder::lock(uint64_t Id) {
+  uint32_t I = LockIndex.find(Id);
+  return I == IdIndex::None ? nullptr : &Locks[I];
+}
+
 void IncrementalLogBuilder::feed(const std::vector<TraceEvent> &Events) {
   for (const TraceEvent &E : Events)
     feedOne(E);
@@ -37,16 +48,25 @@ void IncrementalLogBuilder::feedOne(const TraceEvent &E) {
   ++EventNo;
   switch (E.K) {
   case TraceEvent::Kind::ThreadNew: {
-    BuilderThread &T = Threads[E.A];
+    bool Added = false;
+    uint32_t I = ThreadIndex.findOrAdd(E.A, Added);
+    if (Added)
+      Threads.emplace_back();
+    BuilderThread &T = Threads[I];
+    T.ClockSlot = ThreadId(I + 1);
     T.Record.Id = ThreadId(E.A);
     T.Record.Name = E.Text;
     T.Record.Abs = absFromLabel(E.label());
-    vcTick(T.Record.Clock, T.Record.Id);
+    vcTick(T.Record.Clock, T.ClockSlot);
     Log.onThreadCreated(T.Record);
     break;
   }
   case TraceEvent::Kind::LockNew: {
-    LockRecord &L = Locks[E.A];
+    bool Added = false;
+    uint32_t I = LockIndex.findOrAdd(E.A, Added);
+    if (Added)
+      Locks.emplace_back();
+    LockRecord &L = Locks[I];
     L.Id = LockId(E.A);
     L.Name = E.Text;
     L.Abs = absFromLabel(E.label());
@@ -54,24 +74,24 @@ void IncrementalLogBuilder::feedOne(const TraceEvent &E) {
     break;
   }
   case TraceEvent::Kind::Fork: {
-    auto Parent = Threads.find(E.A);
-    auto Child = Threads.find(E.B);
-    if (Parent == Threads.end() || Child == Threads.end()) {
+    BuilderThread *Parent = thread(E.A);
+    BuilderThread *Child = thread(E.B);
+    if (!Parent || !Child) {
       if (Warn)
         *Warn << "warning: event " << EventNo
               << ": fork references unknown thread\n";
       break;
     }
-    vcJoin(Child->second.Record.Clock, Parent->second.Record.Clock);
-    vcTick(Child->second.Record.Clock, Child->second.Record.Id);
-    vcTick(Parent->second.Record.Clock, Parent->second.Record.Id);
+    vcJoin(Child->Record.Clock, Parent->Record.Clock);
+    vcTick(Child->Record.Clock, Child->ClockSlot);
+    vcTick(Parent->Record.Clock, Parent->ClockSlot);
     break;
   }
   case TraceEvent::Kind::Acquire:
   case TraceEvent::Kind::SharedAcquire: {
-    auto ThreadIt = Threads.find(E.A);
-    auto LockIt = Locks.find(E.B);
-    if (ThreadIt == Threads.end() || LockIt == Locks.end()) {
+    BuilderThread *T = thread(E.A);
+    LockRecord *L = lock(E.B);
+    if (!T || !L) {
       if (Warn)
         *Warn << "warning: event " << EventNo
               << ": acquire references unknown thread/lock\n";
@@ -80,18 +100,17 @@ void IncrementalLogBuilder::feedOne(const TraceEvent &E) {
     LockMode Mode = E.K == TraceEvent::Kind::SharedAcquire
                         ? LockMode::Shared
                         : LockMode::Exclusive;
-    BuilderThread &T = ThreadIt->second;
     const Label Site = E.label();
-    Log.onAcquireExecuted(T.Record, LockIt->second, T.Stack, Site, Mode);
-    T.Stack.push_back({LockId(E.B), Site, Mode});
+    Log.onAcquireExecuted(T->Record, *L, T->Stack, Site, Mode);
+    T->Stack.push_back({LockId(E.B), Site, Mode});
     break;
   }
   case TraceEvent::Kind::Release:
   case TraceEvent::Kind::SharedRelease: {
-    auto ThreadIt = Threads.find(E.A);
-    if (ThreadIt == Threads.end())
+    BuilderThread *T = thread(E.A);
+    if (!T)
       break;
-    auto &Stack = ThreadIt->second.Stack;
+    std::vector<LockStackEntry> &Stack = T->Stack;
     for (size_t I = Stack.size(); I-- > 0;) {
       if (Stack[I].Lock == LockId(E.B)) {
         Stack.erase(Stack.begin() + static_cast<long>(I));
@@ -101,9 +120,9 @@ void IncrementalLogBuilder::feedOne(const TraceEvent &E) {
     break;
   }
   case TraceEvent::Kind::Join: {
-    auto Joiner = Threads.find(E.A);
-    auto Target = Threads.find(E.B);
-    if (Joiner == Threads.end() || Target == Threads.end()) {
+    BuilderThread *Joiner = thread(E.A);
+    BuilderThread *Target = thread(E.B);
+    if (!Joiner || !Target) {
       if (Warn)
         *Warn << "warning: event " << EventNo
               << ": join references unknown thread\n";
@@ -111,29 +130,28 @@ void IncrementalLogBuilder::feedOne(const TraceEvent &E) {
     }
     // Join is a must-order edge: the whole joined thread happens-before
     // the joiner's next step (strengthens the pruner's HBOrdered check).
-    vcJoin(Joiner->second.Record.Clock, Target->second.Record.Clock);
+    vcJoin(Joiner->Record.Clock, Target->Record.Clock);
     break;
   }
   case TraceEvent::Kind::CondNotify: {
-    auto ThreadIt = Threads.find(E.A);
-    if (ThreadIt == Threads.end()) {
+    BuilderThread *T = thread(E.A);
+    if (!T) {
       if (Warn)
         *Warn << "warning: event " << EventNo
               << ": cond-notify references unknown thread\n";
       break;
     }
-    BuilderThread &T = ThreadIt->second;
     // Store-then-tick: the clock a waiter inherits must exclude the
     // notifier's post-notify tick, or acquires the notifier performs after
     // the notify would falsely order before the waiter's post-wake acquires
     // and the hb filter could discharge a real cycle.
-    CondNotify[E.B] = T.Record.Clock;
-    vcTick(T.Record.Clock, T.Record.Id);
+    CondNotify[E.B] = T->Record.Clock;
+    vcTick(T->Record.Clock, T->ClockSlot);
     break;
   }
   case TraceEvent::Kind::CondWake: {
-    auto ThreadIt = Threads.find(E.A);
-    if (ThreadIt == Threads.end()) {
+    BuilderThread *T = thread(E.A);
+    if (!T) {
       if (Warn)
         *Warn << "warning: event " << EventNo
               << ": cond-wake references unknown thread\n";
@@ -141,7 +159,7 @@ void IncrementalLogBuilder::feedOne(const TraceEvent &E) {
     }
     auto NotifyIt = CondNotify.find(E.B);
     if (NotifyIt != CondNotify.end())
-      vcJoin(ThreadIt->second.Record.Clock, NotifyIt->second);
+      vcJoin(T->Record.Clock, NotifyIt->second);
     break;
   }
   case TraceEvent::Kind::TryProbe:

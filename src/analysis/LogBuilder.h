@@ -33,6 +33,7 @@
 #include "igoodlock/IGoodlock.h"
 #include "igoodlock/LockDependency.h"
 #include "runtime/Records.h"
+#include "support/IdIndex.h"
 
 #include <iosfwd>
 #include <string>
@@ -58,16 +59,26 @@ public:
 
 private:
   struct BuilderThread {
+    /// The thread's vector-clock component: its first-seen position + 1,
+    /// not its trace id, so a sparse 64-bit id cannot size the clocks.
+    ThreadId ClockSlot;
     ThreadRecord Record;
     std::vector<LockStackEntry> Stack;
   };
 
   void feedOne(const TraceEvent &E);
+  /// The state of thread / lock \p Id, or null if no event introduced it.
+  BuilderThread *thread(uint64_t Id);
+  LockRecord *lock(uint64_t Id);
 
   std::ostream *Warn;
   LockDependencyLog Log;
-  std::unordered_map<uint64_t, BuilderThread> Threads;
-  std::unordered_map<uint64_t, LockRecord> Locks;
+  /// Per-thread and per-lock state in first-seen order, found through the
+  /// flat id tables (trace ids are arbitrary 64-bit values).
+  std::vector<BuilderThread> Threads;
+  IdIndex ThreadIndex;
+  std::vector<LockRecord> Locks;
+  IdIndex LockIndex;
   /// Last notify clock per condvar id: a V event joins it into the waking
   /// thread (the signal→wake happens-before edge of the widened alphabet).
   std::unordered_map<uint64_t, VectorClock> CondNotify;

@@ -22,11 +22,10 @@
 #include "event/Label.h"
 #include "event/VectorClock.h"
 #include "runtime/Recorder.h"
-#include "support/Hash.h"
 
+#include <cstdint>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 namespace dlf {
@@ -66,6 +65,13 @@ struct ObjectInfo {
 /// acquiring the same locks repeatedly) are collapsed: D is a relation
 /// (a set), and the iterative closure is exponential in |D| in the worst
 /// case, so deduplication here is pure win.
+///
+/// Deduplication is exact. Every acquisition context a thread has shown is
+/// a path in a context trie: a node is (parent node, lock, site, mode),
+/// each thread has its own root, and the node reached by the held stack
+/// followed by the acquired lock is the entry's leaf. An entry is recorded
+/// the first time its leaf is reached. Keys are compared in full width, so
+/// no two distinct entries can merge.
 class LockDependencyLog : public DependencyRecorder {
 public:
   // DependencyRecorder implementation (externally synchronized).
@@ -85,11 +91,31 @@ public:
   uint64_t acquireEvents() const { return AcquireEvents; }
 
 private:
+  /// One context-trie node in its open-addressing slot. Node ids count up
+  /// from 1 in insertion order and survive rehashing, so a child names its
+  /// parent by id; Node 0 marks an empty slot and Parent 0 a thread root,
+  /// whose Lock field holds the thread id.
+  struct TrieSlot {
+    uint64_t Lock = 0;
+    uint32_t Parent = 0;
+    uint32_t Site = 0;
+    uint32_t Node = 0;
+    LockMode Mode = LockMode::Exclusive;
+    /// The entry ending at this node is in Entries.
+    bool Recorded = false;
+  };
+
+  /// The slot of the node (Parent, Lock, Site, Mode), inserted if absent.
+  /// The reference is valid until the next call.
+  TrieSlot &trieNode(uint32_t Parent, uint64_t Lock, uint32_t Site,
+                     LockMode Mode);
+  void growTrie();
+
   std::vector<DependencyEntry> Entries;
-  /// Structural 128-bit hashes of observed entries (the dedup set). The
-  /// recorder sits on the acquire hot path, so keys are hashed directly
-  /// from the components instead of materializing strings.
-  std::unordered_set<Hash128> Seen;
+  /// The context trie (the dedup set); its size is a power of two, kept at
+  /// most half full.
+  std::vector<TrieSlot> Trie;
+  uint32_t TrieNodes = 0;
   std::unordered_map<ThreadId, ObjectInfo> ThreadMeta;
   std::unordered_map<LockId, ObjectInfo> LockMeta;
   uint64_t AcquireEvents = 0;

@@ -36,20 +36,25 @@ void pushNamed(std::vector<analysis::TraceEvent> &Out,
 } // namespace
 
 const std::string &Assembler::siteText(uint32_t Id) {
-  auto It = SiteCache.find(Id);
-  if (It != SiteCache.end())
-    return It->second;
-  std::string Name = Reader.siteName(Id);
-  if (Name.empty())
-    Name = "unknown"; // id 0: the writer's string table overflowed
-  return SiteCache.emplace(Id, std::move(Name)).first->second;
+  const uint32_t Slot = siteSlot(Id);
+  if (Slot >= SiteTexts.size())
+    SiteTexts.resize(Slot + 1);
+  std::string &Text = SiteTexts[Slot];
+  if (Text.empty()) {
+    Text = Reader.siteName(Slot);
+    if (Text.empty())
+      Text = "unknown"; // id 0: the writer's string table overflowed
+  }
+  return Text;
 }
 
 Label Assembler::siteLabel(uint32_t Id) {
-  auto It = SiteLabels.find(Id);
-  if (It != SiteLabels.end())
-    return It->second;
-  return SiteLabels.emplace(Id, Label::intern(siteText(Id))).first->second;
+  const uint32_t Slot = siteSlot(Id);
+  if (Slot >= SiteLabels.size())
+    SiteLabels.resize(Slot + 1);
+  if (!SiteLabels[Slot].isValid())
+    SiteLabels[Slot] = Label::intern(siteText(Id));
+  return SiteLabels[Slot];
 }
 
 void Assembler::pushAcquire(std::vector<analysis::TraceEvent> &Out,
@@ -96,10 +101,8 @@ Assembler::LockState &Assembler::lockAt(uint64_t Addr, uint32_t Site,
 }
 
 uint64_t Assembler::condId(uint64_t Addr) {
-  auto [It, Inserted] = Conds.try_emplace(Addr, NextCondId);
-  if (Inserted)
-    ++NextCondId;
-  return It->second;
+  bool Added = false;
+  return Conds.findOrAdd(Addr, Added) + 1;
 }
 
 void Assembler::feed(const std::vector<Record> &Records,
@@ -208,16 +211,15 @@ void Assembler::feed(const std::vector<Record> &Records,
 
     case RecordKind::AccessRead:
     case RecordKind::AccessWrite: {
-      auto It = Objects.find(R.Addr);
-      if (It == Objects.end()) {
-        It = Objects.emplace(R.Addr, NextObjectId++).first;
-        push(Out, K::ObjectNew, It->second, 0, bumpSite(siteText(R.Site)));
-      }
+      bool Added = false;
+      const uint64_t Id = Objects.findOrAdd(R.Addr, Added) + 1;
+      if (Added)
+        push(Out, K::ObjectNew, Id, 0, bumpSite(siteText(R.Site)));
       push(Out,
            static_cast<RecordKind>(R.Kind) == RecordKind::AccessWrite
                ? K::Write
                : K::Read,
-           R.Tid, It->second, siteText(R.Site));
+           R.Tid, Id, siteText(R.Site));
       break;
     }
 

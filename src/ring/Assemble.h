@@ -43,6 +43,7 @@
 
 #include "analysis/Trace.h"
 #include "ring/Ring.h"
+#include "support/IdIndex.h"
 
 #include <string>
 #include <unordered_map>
@@ -73,6 +74,9 @@ private:
     std::vector<uint64_t> ReaderTids;
   };
 
+  /// The cache slot of site \p Id: the id itself, or 0 (whose text is
+  /// also "unknown") for ids past the string table.
+  static uint32_t siteSlot(uint32_t Id) { return Id <= MaxSites ? Id : 0; }
   const std::string &siteText(uint32_t Id);
   Label siteLabel(uint32_t Id);
   /// Emits a ThreadNew event (the builder then knows \p Tid).
@@ -88,17 +92,18 @@ private:
   uint64_t condId(uint64_t Addr);
 
   const RingReader &Reader;
-  std::unordered_map<uint32_t, std::string> SiteCache;
-  std::unordered_map<uint32_t, Label> SiteLabels;
+  /// Site texts and labels by siteSlot, filled at first use (an empty
+  /// text or an invalid label is a slot not yet filled).
+  std::vector<std::string> SiteTexts;
+  std::vector<Label> SiteLabels;
   /// Tids a ThreadNew event has introduced, indexed by record tid.
   std::vector<bool> Announced = std::vector<bool>(1u << 16);
   std::unordered_map<uint64_t, LockState> Locks;
-  std::unordered_map<uint64_t, uint64_t> Conds;
-  std::unordered_map<uint64_t, uint64_t> Objects;
+  /// Condvar and object addresses; an id is the first-seen index + 1.
+  IdIndex Conds;
+  IdIndex Objects;
   std::unordered_map<std::string, uint64_t> SiteCounts;
   uint64_t NextLockId = 1;
-  uint64_t NextCondId = 1;
-  uint64_t NextObjectId = 1;
   uint64_t UnknownKinds = 0;
 };
 

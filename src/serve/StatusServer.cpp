@@ -182,16 +182,18 @@ void StatusServer::stop() {
 }
 
 void StatusServer::publishStatus(const CampaignStatus &S) {
-  {
-    std::lock_guard<std::mutex> Lock(Mu);
-    LastStatus = S;
-  }
-  char B = 's';
-  (void)::write(WakeWrite, &B, 1);
+  // /status is pulled, so the server thread has nothing to do until a
+  // scraper asks: store, no wake.
+  std::lock_guard<std::mutex> Lock(Mu);
+  LastStatus = S;
 }
 
 void StatusServer::publishEvent(const std::string &Type,
                                 const std::string &Json) {
+  // Events reach only current subscribers; with none there is nothing to
+  // frame and nobody to wake.
+  if (SseClients.load(std::memory_order_acquire) == 0)
+    return;
   {
     std::lock_guard<std::mutex> Lock(Mu);
     PendingEvents.push_back(sseFrame(Type, Json));
@@ -275,6 +277,8 @@ void StatusServer::threadMain() {
       if (Alive && !C.Sse && C.CloseAfterFlush && C.Out.empty())
         Alive = false;
       if (!Alive) {
+        if (C.Sse)
+          SseClients.fetch_sub(1, std::memory_order_release);
         ::close(C.Fd);
         Clients.erase(Clients.begin() + static_cast<long>(I));
         --I;
@@ -286,8 +290,10 @@ void StatusServer::threadMain() {
   // everything down. Best effort: the process is exiting either way.
   const std::string Bye = sseFrame("bye", "{}");
   for (Client &C : Clients) {
-    if (C.Sse)
+    if (C.Sse) {
       (void)sendSome(C.Fd, Bye.data(), Bye.size());
+      SseClients.fetch_sub(1, std::memory_order_release);
+    }
     ::close(C.Fd);
   }
   Clients.clear();
@@ -386,7 +392,10 @@ void StatusServer::dispatchRequest(Client &C, const std::string &Method,
     C.Out += simpleResponse(200, "OK", "application/json",
                             renderBuildInfo() + "\n");
   } else if (Path == "/events") {
+    // Counted before the seeding frame is queued, so an event published
+    // once the subscriber has seen that frame is never skipped.
     C.Sse = true;
+    SseClients.fetch_add(1, std::memory_order_release);
     C.Out += "HTTP/1.1 200 OK\r\n"
              "Content-Type: text/event-stream\r\n"
              "Cache-Control: no-cache\r\n"

@@ -9,8 +9,10 @@
 /// analyses (DESIGN.md §15). One background thread runs a poll() loop over
 /// the listen socket, a self-pipe wakeup, and every connected client; the
 /// analysis thread never touches a socket. Publishing is a mutex-guarded
-/// copy plus a one-byte pipe write, so the hot path cannot block on a slow
-/// or stuck scraper — overflowing SSE clients are dropped, not waited on.
+/// copy (plus, for an event with /events subscribers, a one-byte pipe
+/// write), so the hot path cannot block on a slow or stuck scraper —
+/// overflowing SSE clients are dropped, not waited on. An event published
+/// while nobody subscribes is dropped on the spot.
 ///
 /// Endpoints (GET only, everything else is 405):
 ///   /metrics   Prometheus text v0.0.4: the publisher's frontier-merged
@@ -150,6 +152,9 @@ private:
   /// Owned solely by the server thread — no lock needed.
   std::vector<Client> Clients;
 
+  /// Connected /events subscribers: raised where a client becomes Sse,
+  /// lowered where one is closed (server thread); read by publishEvent.
+  std::atomic<uint32_t> SseClients{0};
   std::atomic<uint64_t> RequestsServed{0};
   std::atomic<uint64_t> SseDropped{0};
 };

@@ -161,8 +161,11 @@ void swing::runSwingHarness() {
   }
 
   // The deadlocking interaction: a repaint event in flight while the main
-  // thread holds the frame and calls into the caret.
+  // thread holds the frame and calls into the caret. Outside the Active
+  // scheduler, give the event thread real time to run the repaint first,
+  // so the plain program stays deadlock-free under load.
   Queue.post(EventKind::Repaint);
+  staggerWall(0, 5000);
   {
     DLF_SCOPE("swing::mainSyncBlock");
     MutexGuard FrameGuard(TheFrame.monitor(),

@@ -6,8 +6,9 @@
 ///
 /// \file
 /// A small streaming 128-bit structural hasher for dedup keys that were
-/// previously built as strings (ostringstream keys are the allocation hot
-/// spot of both the dependency recorder and the closure's cycle dedup).
+/// previously built as strings: the closure's cycle keys, and fault-plan
+/// site decisions. (The dependency recorder's dedup is exact — a context
+/// trie, igoodlock/LockDependency.h — and uses no hash key.)
 /// Two independently seeded 64-bit lanes are mixed with the SplitMix64
 /// finalizer; at 128 bits the collision probability for the at-most-millions
 /// of keys an analysis produces is ~2^-85 per pair — treated as zero

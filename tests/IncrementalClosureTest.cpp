@@ -17,6 +17,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "igoodlock/IGoodlock.h"
+#include "support/Hash.h"
 
 #include <gtest/gtest.h>
 

@@ -17,8 +17,10 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include <sys/wait.h>
+#include <unistd.h>
 
 namespace {
 
@@ -43,8 +45,26 @@ std::string captureCommand(const std::string &Command) {
   return Output;
 }
 
+/// The files this process named under TempDir(), removed at exit: their
+/// names carry the pid, so they would otherwise pile up run after run.
+struct TempFiles {
+  TempFiles() = default;
+  TempFiles(const TempFiles &) = delete;
+  TempFiles &operator=(const TempFiles &) = delete;
+  ~TempFiles() {
+    for (const std::string &P : Paths)
+      std::remove(P.c_str());
+  }
+  std::vector<std::string> Paths;
+} MadeFiles;
+
+/// A per-process path, so concurrent copies of this binary never share
+/// traces or rings.
 std::string tmpPath(const char *Name) {
-  return std::string(::testing::TempDir()) + "/" + Name;
+  std::string Path = std::string(::testing::TempDir()) + "/" +
+                     std::to_string(::getpid()) + "." + Name;
+  MadeFiles.Paths.push_back(Path);
+  return Path;
 }
 
 TEST(Preload, FullWorkflowOnUnmodifiedPthreadsProgram) {

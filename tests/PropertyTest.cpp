@@ -8,10 +8,13 @@
 //    with one planted inversion always produces (and confirms) it;
 //  * cross-execution abstraction stability (the keystone of Phase II);
 //  * scheduler invariants for every seed;
-//  * invariance properties of the closure and the cycle checker.
+//  * invariance properties of the closure and the cycle checker;
+//  * exact dependency dedup: LockDependencyLog and the trace log builder
+//    against a brute-force set of structural keys.
 //
 //===----------------------------------------------------------------------===//
 
+#include "analysis/LogBuilder.h"
 #include "fuzzer/ActiveTester.h"
 #include "fuzzer/RandomStrategy.h"
 #include "fuzzer/RealDeadlockChecker.h"
@@ -27,7 +30,9 @@
 #include <algorithm>
 #include <functional>
 #include <memory>
+#include <map>
 #include <set>
+#include <tuple>
 
 namespace {
 
@@ -514,5 +519,208 @@ TEST_P(CheckerInvariance, RandomPendingTailsAgreeWithBruteForceOracle) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CheckerInvariance,
                          ::testing::Range<uint64_t>(1, 17));
+
+// -- Exact dependency dedup ---------------------------------------------------------
+
+/// The full structural identity of a dependency entry: the thread, then
+/// (lock, site, mode) of each held lock and finally of the acquired one.
+using DedupKey =
+    std::pair<uint64_t, std::vector<std::tuple<uint64_t, uint32_t, LockMode>>>;
+
+/// Brute-force reference for the recorder's dedup: a std::set of full
+/// keys, entries kept in first-seen order with the first instance's clock.
+struct DedupOracle {
+  std::set<DedupKey> Seen;
+  std::vector<DependencyEntry> Entries;
+  uint64_t AcquireEvents = 0;
+
+  void onAcquire(const ThreadRecord &T, LockId Lock,
+                 const std::vector<LockStackEntry> &Held, Label Site,
+                 LockMode Mode) {
+    ++AcquireEvents;
+    DedupKey Key{T.Id.Raw, {}};
+    for (const LockStackEntry &E : Held)
+      Key.second.emplace_back(E.Lock.Raw, E.Site.raw(), E.Mode);
+    Key.second.emplace_back(Lock.Raw, Site.raw(), Mode);
+    if (!Seen.insert(std::move(Key)).second)
+      return;
+    DependencyEntry &Entry = Entries.emplace_back();
+    Entry.Thread = T.Id;
+    Entry.Acquired = Lock;
+    Entry.AcquiredMode = Mode;
+    for (const LockStackEntry &E : Held) {
+      Entry.Held.push_back(E.Lock);
+      Entry.HeldModes.push_back(E.Mode);
+      Entry.Context.push_back(E.Site);
+    }
+    Entry.Context.push_back(Site);
+    Entry.Clock = T.Clock;
+  }
+};
+
+void expectSameLog(const LockDependencyLog &Log, const DedupOracle &Want,
+                   uint64_t Seed) {
+  EXPECT_EQ(Log.acquireEvents(), Want.AcquireEvents) << "seed " << Seed;
+  ASSERT_EQ(Log.entries().size(), Want.Entries.size()) << "seed " << Seed;
+  for (size_t I = 0; I != Want.Entries.size(); ++I) {
+    const DependencyEntry &Got = Log.entries()[I];
+    const DependencyEntry &Exp = Want.Entries[I];
+    EXPECT_EQ(Got.Thread, Exp.Thread) << "seed " << Seed << " entry " << I;
+    EXPECT_EQ(Got.Held, Exp.Held) << "seed " << Seed << " entry " << I;
+    EXPECT_EQ(Got.HeldModes, Exp.HeldModes) << "seed " << Seed;
+    EXPECT_EQ(Got.Acquired, Exp.Acquired) << "seed " << Seed;
+    EXPECT_EQ(Got.AcquiredMode, Exp.AcquiredMode) << "seed " << Seed;
+    EXPECT_EQ(Got.Context, Exp.Context) << "seed " << Seed;
+    EXPECT_EQ(Got.Clock, Exp.Clock) << "seed " << Seed << " entry " << I;
+  }
+}
+
+/// Pairs that a key truncated to 32 bits would merge, plus the top of the
+/// 64-bit range.
+const std::vector<uint64_t> WideIds = {
+    1, 2, (1ull << 32) | 1, (1ull << 32) | 2, 1ull << 63, UINT64_MAX - 1,
+    UINT64_MAX};
+
+/// Picks a lock of \p Ids that \p Stack does not hold (a thread never
+/// holds one lock twice; recursion is collapsed before the recorder).
+size_t pickUnheld(Rng &R, const std::vector<uint64_t> &Ids,
+                  const std::vector<LockStackEntry> &Stack) {
+  for (;;) {
+    size_t I = R.nextIndex(Ids.size());
+    bool Held = false;
+    for (const LockStackEntry &E : Stack)
+      Held |= E.Lock == LockId(Ids[I]);
+    if (!Held)
+      return I;
+  }
+}
+
+class ExactDedup : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(ExactDedup, LogMatchesBruteForceSet) {
+  const uint64_t Seed = GetParam();
+  Rng R(Seed);
+  constexpr unsigned Steps = 4000, MaxDepth = 5, SitesPerLock = 3;
+  const std::vector<uint64_t> ThreadIds = {1, (1ull << 32) | 1, 1ull << 63,
+                                           UINT64_MAX};
+  // One lock at several sites.
+  std::vector<std::vector<Label>> Sites(WideIds.size());
+  for (size_t L = 0; L != WideIds.size(); ++L)
+    for (unsigned S = 0; S != SitesPerLock; ++S)
+      Sites[L].push_back(Label::intern("dedup:" + std::to_string(WideIds[L]) +
+                                       "/" + std::to_string(S)));
+
+  std::vector<ThreadRecord> Threads(ThreadIds.size());
+  std::vector<std::vector<LockStackEntry>> Stacks(ThreadIds.size());
+  for (size_t T = 0; T != ThreadIds.size(); ++T)
+    Threads[T].Id = ThreadId(ThreadIds[T]);
+  LockDependencyLog Log;
+  DedupOracle Oracle;
+  for (unsigned Step = 0; Step != Steps; ++Step) {
+    const size_t T = R.nextIndex(Threads.size());
+    std::vector<LockStackEntry> &Stack = Stacks[T];
+    if (!Stack.empty() && (Stack.size() == MaxDepth || R.nextBool(0.45))) {
+      // Release any held lock, not only the innermost.
+      Stack.erase(Stack.begin() +
+                  static_cast<long>(R.nextIndex(Stack.size())));
+      continue;
+    }
+    const size_t L = pickUnheld(R, WideIds, Stack);
+    LockRecord Lock;
+    Lock.Id = LockId(WideIds[L]);
+    const Label Site = Sites[L][R.nextIndex(SitesPerLock)];
+    const LockMode Mode =
+        R.nextBool(0.3) ? LockMode::Shared : LockMode::Exclusive;
+    // A distinct clock per event: a duplicate must keep the first one.
+    Threads[T].Clock = {Step};
+    Log.onAcquireExecuted(Threads[T], Lock, Stack, Site, Mode);
+    Oracle.onAcquire(Threads[T], Lock.Id, Stack, Site, Mode);
+    Stack.push_back({Lock.Id, Site, Mode});
+  }
+  EXPECT_LT(Oracle.Entries.size(), Oracle.AcquireEvents)
+      << "seed " << Seed << ": no duplicates exercised";
+  expectSameLog(Log, Oracle, Seed);
+}
+
+TEST_P(ExactDedup, LogBuilderMatchesOracleOnSparseIds) {
+  using K = analysis::TraceEvent::Kind;
+  const uint64_t Seed = GetParam();
+  Rng R(Seed);
+  constexpr unsigned Steps = 3000, MaxDepth = 4;
+  const std::vector<uint64_t> ThreadIds = {0, UINT64_MAX, R.next(),
+                                           (1ull << 32) | 1};
+  std::vector<uint64_t> LockIds = WideIds;
+  LockIds.push_back(0);
+  LockIds.push_back(R.next());
+
+  std::vector<analysis::TraceEvent> Events;
+  auto Push = [&](K Kind, uint64_t A, uint64_t B, std::string Text) {
+    analysis::TraceEvent &E = Events.emplace_back();
+    E.K = Kind;
+    E.A = A;
+    E.B = B;
+    E.Text = std::move(Text);
+  };
+  // The builder ticks each thread's clock once at its introduction, in the
+  // component of its first-seen position — never of its (sparse) id.
+  std::vector<ThreadRecord> Threads(ThreadIds.size());
+  for (size_t T = 0; T != ThreadIds.size(); ++T) {
+    Push(K::ThreadNew, ThreadIds[T], 0, "t" + std::to_string(T));
+    Threads[T].Id = ThreadId(ThreadIds[T]);
+    Threads[T].Clock.assign(T + 1, 0);
+    Threads[T].Clock[T] = 1;
+  }
+  for (size_t L = 0; L != LockIds.size(); ++L)
+    Push(K::LockNew, LockIds[L], 0, "l" + std::to_string(L));
+
+  DedupOracle Oracle;
+  std::vector<std::vector<LockStackEntry>> Stacks(ThreadIds.size());
+  for (unsigned Step = 0; Step != Steps; ++Step) {
+    if (R.nextBool(0.01)) {
+      // An id no event introduced: the builder warns and skips it.
+      Push(K::Acquire, 12345, LockIds[0], "dedup:unknown");
+      continue;
+    }
+    const size_t T = R.nextIndex(ThreadIds.size());
+    std::vector<LockStackEntry> &Stack = Stacks[T];
+    if (!Stack.empty() && (Stack.size() == MaxDepth || R.nextBool(0.45))) {
+      const size_t I = R.nextIndex(Stack.size());
+      Push(Stack[I].Mode == LockMode::Shared ? K::SharedRelease : K::Release,
+           ThreadIds[T], Stack[I].Lock.Raw, "");
+      Stack.erase(Stack.begin() + static_cast<long>(I));
+      continue;
+    }
+    const size_t L = pickUnheld(R, LockIds, Stack);
+    const std::string SiteText =
+        "dedup:sparse:" + std::to_string(L) + "/" +
+        std::to_string(R.nextBelow(2));
+    const LockMode Mode =
+        R.nextBool(0.3) ? LockMode::Shared : LockMode::Exclusive;
+    Push(Mode == LockMode::Shared ? K::SharedAcquire : K::Acquire,
+         ThreadIds[T], LockIds[L], SiteText);
+    const Label Site = Label::intern(SiteText);
+    Oracle.onAcquire(Threads[T], LockId(LockIds[L]), Stack, Site, Mode);
+    Stack.push_back({LockId(LockIds[L]), Site, Mode});
+  }
+
+  // Fed in epochs of random size, as the observer does.
+  analysis::IncrementalLogBuilder Builder;
+  for (size_t At = 0; At != Events.size();) {
+    size_t N = std::min<size_t>(1 + R.nextBelow(500), Events.size() - At);
+    Builder.feed(std::vector<analysis::TraceEvent>(
+        Events.begin() + static_cast<long>(At),
+        Events.begin() + static_cast<long>(At + N)));
+    At += N;
+  }
+  EXPECT_EQ(Builder.eventsSeen(), Events.size());
+  EXPECT_EQ(Builder.log().threadInfo(ThreadId(UINT64_MAX)).Name, "t1");
+  EXPECT_EQ(Builder.log().lockInfo(LockId(0)).Name,
+            "l" + std::to_string(WideIds.size()));
+  EXPECT_LT(Oracle.Entries.size(), Oracle.AcquireEvents)
+      << "seed " << Seed << ": no duplicates exercised";
+  expectSameLog(Builder.log(), Oracle, Seed);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, ExactDedup, ::testing::Range<uint64_t>(1, 21));
 
 } // namespace

@@ -33,9 +33,30 @@ using namespace dlf::ring;
 
 namespace {
 
+/// The ring files this process made, removed at exit: their names carry
+/// the pid, so they would otherwise pile up run after run.
+struct TempFiles {
+  TempFiles() = default;
+  TempFiles(const TempFiles &) = delete;
+  TempFiles &operator=(const TempFiles &) = delete;
+  ~TempFiles() {
+    for (const std::string &P : Paths)
+      std::remove(P.c_str());
+  }
+  std::vector<std::string> Paths;
+} MadeFiles;
+
+/// A per-process path, so concurrent copies of this binary never map each
+/// other's rings.
+std::string ringPath(const char *Name) {
+  return std::string(::testing::TempDir()) + "/" + std::to_string(::getpid()) +
+         "." + Name;
+}
+
 std::string tmpRing(const char *Name) {
-  std::string Path = std::string(::testing::TempDir()) + "/" + Name;
+  std::string Path = ringPath(Name);
   std::remove(Path.c_str());
+  MadeFiles.Paths.push_back(Path);
   return Path;
 }
 
@@ -490,8 +511,7 @@ struct AssemblerFixture {
     SiteA = W->internSite("workerA+0x10");
     SiteB = W->internSite("workerB+0x20");
     Create = W->internSite("main+0x30");
-    R.reset(RingReader::attach(
-        std::string(::testing::TempDir()) + "/" + Name, &Err));
+    R.reset(RingReader::attach(ringPath(Name), &Err));
   }
 
   static Record rec(RecordKind K, uint16_t Tid, uint64_t Addr,

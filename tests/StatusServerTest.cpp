@@ -298,6 +298,30 @@ TEST(StatusServerTest, EventsSseFraming) {
   ::close(Fd);
 }
 
+TEST(StatusServerTest, EventsReachOnlyCurrentSubscribers) {
+  auto S = startServer();
+  ASSERT_NE(S, nullptr);
+
+  // Nobody subscribes yet: the event is dropped, not queued for later.
+  S->publishEvent("early", "{\"n\":1}");
+
+  int Fd = connectLoopback(S->port());
+  ASSERT_GE(Fd, 0);
+  std::string Req = "GET /events HTTP/1.1\r\nHost: 127.0.0.1\r\n\r\n";
+  ASSERT_EQ(::send(Fd, Req.data(), Req.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(Req.size()));
+  std::string Accum;
+  ASSERT_TRUE(readUntil(Fd, "event: status\n", Accum)) << Accum;
+
+  S->publishEvent("late", "{\"n\":2}");
+  ASSERT_TRUE(readUntil(Fd, "event: late\ndata: {\"n\":2}\n\n", Accum))
+      << Accum;
+  EXPECT_EQ(Accum.find("event: early"), std::string::npos) << Accum;
+
+  S->stop();
+  ::close(Fd);
+}
+
 TEST(StatusServerTest, MethodAndPathErrors) {
   auto S = startServer();
   ASSERT_NE(S, nullptr);
